@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint bench bench-smoke bench-vector trace-smoke exp-smoke live-smoke report export examples all
+.PHONY: install test lint bench bench-smoke bench-vector bench-e2e-test trace-smoke exp-smoke live-smoke report export examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -30,6 +30,14 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_microbench.py -s \
 		-k "parallel or cached or vectorized or obs or clamped"
+
+# Tests of the end-to-end benchmark (benchmarks/e2e): one tiny untraced
+# and traced round of every workload, checking its printed metrics, the
+# tracer's target names and where each layer runs (mc-narrow's route
+# split, mc-fanout on the parallel route with shared-memory bytes).
+# About 40 s on a 2-core host.
+bench-e2e-test:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Telemetry smoke: run a small scenario with tracing on, then validate
 # the bundle (manifest.json + spans.jsonl + trace.json) structurally.

@@ -70,6 +70,30 @@ def test_bench_full_simulation_fc_dpm(benchmark):
 # -- runtime subsystem benches (PR 1) ---------------------------------------
 
 
+def _fast_loop(sc, seeds, policies, traces=None):
+    """Per-seed ``simulate_fast`` loop: the 1D kernel once per (seed, policy).
+
+    Managers are built once per policy and reset between seeds (a reset
+    manager is state-identical to a fresh build), so the loop times the
+    kernel, not plant construction.  Seeds missing from ``traces`` are
+    synthesized inside the loop, one ``build_trace`` per seed.
+    """
+    from repro.sim.vectorized import _policy_manager, simulate_fast
+
+    managers = {spec: _policy_manager(sc, spec) for spec in policies}
+    initial = {spec: m.source.storage.charge for spec, m in managers.items()}
+    traces = traces or {}
+    out = {}
+    for seed in seeds:
+        trace = traces.get(seed) or sc.build_trace(seed)
+        per_policy = {}
+        for spec, mgr in managers.items():
+            mgr.reset(initial[spec])
+            per_policy[spec] = simulate_fast(mgr, trace)
+        out[seed] = per_policy
+    return out
+
+
 def _best_of(fn, repeats: int = 5, number: int = 2000) -> float:
     """Best mean-per-call over several timing repeats (s)."""
     best = float("inf")
@@ -235,9 +259,10 @@ def test_bench_vectorized_batch(emit, kernel_record):
     """100-seed x 3-policy Monte-Carlo batch, warm best-of.
 
     Three timings over the same prebuilt traces: the scalar loop
-    (``fast=False``), the serial kernel (``fast=True, workers=1``), and
-    the full batch path (``fast=True, workers=`` every core, which
-    ships per-seed plans through shared memory).  Gates: the serial
+    (``fast=False``), the serial 1D kernel (a per-seed ``simulate_fast``
+    loop), and the full batch path (``fast=True, workers=`` every core,
+    which runs row shards of the stacked kernel in pool workers).
+    Gates: the serial
     kernel must hold >= 12x everywhere; the full path must reach >= 50x
     where the hardware can deliver it (>= 4 usable cores -- the same
     self-gating convention as the run_seeds bench above; a 1-core box
@@ -256,9 +281,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
     workers = resolve_workers(0)
 
     scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = simulate_batch(
-        sc, seeds, policies, fast=True, traces=traces, stacked=False
-    )
+    fast = _fast_loop(sc, seeds, policies, traces)
     assert fast == scalar
     if workers > 1:
         parallel = simulate_batch(
@@ -271,10 +294,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
         repeats=2,
     )
     t_fast = _best_wall(
-        lambda: simulate_batch(
-            sc, seeds, policies, fast=True, traces=traces, stacked=False
-        ),
-        repeats=5,
+        lambda: _fast_loop(sc, seeds, policies, traces), repeats=5
     )
     ratio = t_scalar / t_fast
     lines = [
@@ -333,9 +353,7 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
     traces = {s: sc.build_trace(s) for s in seeds}
 
     scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = simulate_batch(
-        sc, seeds, policies, fast=True, traces=traces, stacked=False
-    )
+    fast = _fast_loop(sc, seeds, policies, traces)
     assert fast == scalar
 
     t_scalar = _best_wall(
@@ -343,10 +361,7 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
         repeats=2,
     )
     t_fast = _best_wall(
-        lambda: simulate_batch(
-            sc, seeds, policies, fast=True, traces=traces, stacked=False
-        ),
-        repeats=3,
+        lambda: _fast_loop(sc, seeds, policies, traces), repeats=3
     )
     ratio = t_scalar / t_fast
     data = {
@@ -387,8 +402,8 @@ def test_bench_vectorized_batch_stacked(emit, kernel_record):
     seeds = list(range(1000))
     policies = ["conv-dpm", "asap-dpm", "static:0.8"]
 
-    stacked = simulate_batch(sc, seeds, policies, stacked=True)
-    loop = simulate_batch(sc, seeds, policies, stacked=False)
+    stacked = simulate_batch(sc, seeds, policies)
+    loop = _fast_loop(sc, seeds, policies)
     assert stacked == loop
 
     # Interleave the two sides round-by-round (with a gc sweep before
@@ -401,11 +416,11 @@ def test_bench_vectorized_batch_stacked(emit, kernel_record):
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=False)
+        _fast_loop(sc, seeds, policies)
         t_loop = min(t_loop, time.perf_counter() - t0)
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=True)
+        simulate_batch(sc, seeds, policies)
         t_stacked = min(t_stacked, time.perf_counter() - t0)
     ratio = t_loop / t_stacked
     data = {
@@ -449,8 +464,8 @@ def test_bench_fc_stacked(emit, kernel_record):
     seeds = list(range(1000))
     policies = ["fc-dpm"]
 
-    stacked = simulate_batch(sc, seeds, policies, stacked=True)
-    loop = simulate_batch(sc, seeds, policies, stacked=False)
+    stacked = simulate_batch(sc, seeds, policies)
+    loop = _fast_loop(sc, seeds, policies)
     assert stacked == loop
 
     t_loop = float("inf")
@@ -458,11 +473,11 @@ def test_bench_fc_stacked(emit, kernel_record):
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=False)
+        _fast_loop(sc, seeds, policies)
         t_loop = min(t_loop, time.perf_counter() - t0)
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=True)
+        simulate_batch(sc, seeds, policies)
         t_stacked = min(t_stacked, time.perf_counter() - t0)
     ratio = t_loop / t_stacked
     data = {

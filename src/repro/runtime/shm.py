@@ -1,19 +1,16 @@
 """Shared-memory transport for groups of numpy arrays.
 
-``simulate_batch`` compiles one :class:`~repro.sim.vectorized.TraceArrays`
-plan per seed; with process workers each plan used to be pickled into
-every chunk submission.  This module moves the array payload into one
-``multiprocessing.shared_memory`` segment per batch: the coordinator
-packs all groups into a single block, workers receive only a small
-:class:`GroupHandle` (segment name + per-array offset/dtype/shape
-table) and attach zero-copy, read-only views.
-
-Since kernel round 3 the batch coordinator ships a *single* group named
-``"stacked"`` -- every seed's plan columns concatenated row-local plus
-``seeds``/``seg_offsets``/``slot_counts`` bookkeeping -- instead of one
-group per seed; workers attach once and slice their row's views
-(:func:`~repro.sim.vectorized._stacked_plan_row`).  The transport
-itself is group-agnostic and unchanged.
+A parallel ``simulate_batch`` splits its seeds into one contiguous row
+shard per process worker.  The coordinator gathers the whole batch's
+slot columns once (``t_idle`` / ``t_active`` / ``i_active``, flat and
+row-major, plus the per-row ``offsets``) and ships them as a single
+group named ``"slots"`` in one ``multiprocessing.shared_memory``
+segment.  Workers receive only a small :class:`GroupHandle` (segment
+name + per-array offset/dtype/shape table), attach zero-copy, read-only
+views, and slice out their shard's rows
+(:func:`~repro.sim.vectorized._batch_shard_worker`).  The transport
+itself is group-agnostic: :meth:`SharedArrayStore.create` packs any
+number of named groups into the one segment.
 
 Degradation is transparent: platforms or sandboxes without shared
 memory (import failure, ``/dev/shm`` permission errors) fall back to

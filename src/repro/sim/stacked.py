@@ -30,12 +30,14 @@ for row), and the device-side sleep decisions come from one batched
 predictor scan replicating ``PredictiveShutdownPolicy.decisions_array``.
 
 Exactness contract: for every seed, every ``SimulationResult`` field
-and the manager / controller / policy end state equal the serial loop's
-bit for bit.  Intermediate per-row manager states are unobservable from
-``simulate_batch``'s API, so end-state commits are deferred to the exit
-point -- the last row on success, or the exact raising row when the
-deficit guard fires (specs at or before the raising spec hold the
-raising row's state; later specs hold the previous row's).
+equals the scalar :class:`~repro.sim.slotsim.SlotSimulator`'s bit for
+bit, and when the deficit guard fires the batch raises the same
+``SimulationError`` (type and message, first failing row, first failing
+spec within it) that the per-seed loop raises.  The managers this
+module runs are built privately by ``simulate_batch``, which returns
+only results, so no manager, controller or policy end state is
+committed here.  A caller who needs end state owns the manager and runs
+:func:`~repro.sim.vectorized.simulate_fast` on it.
 
 Telemetry: the stacked route runs with or without ``OBS`` enabled and
 reports batch-level attributes (rows, padded fraction, plan-stack
@@ -47,23 +49,17 @@ individually (see docs/observability.md).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
 from itertools import repeat as _repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.baselines import ASAPDPMController, ConvDPMController, StaticController
 from ..core.fc_dpm import FCDPMController
-from ..core.optimizer_array import (
-    SlotProblemColumns,
-    SlotSolutionColumns,
-    solve_slot_array,
-)
-from ..core.setting import SlotSolution
+from ..core.optimizer_array import SlotProblemColumns, solve_slot_array
 from ..dpm.predictive import PredictiveShutdownPolicy
 from ..errors import SimulationError
 from ..obs import OBS
@@ -87,7 +83,6 @@ from .vectorized import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
     from ..scenario.spec import Scenario
-    from ..workload.trace import LoadTrace
 
 #: Controller types with a stacked (2D) kernel pass.  Exact types on
 #: purpose, like the 1D eligibility checks: a subclass may override any
@@ -241,15 +236,13 @@ class StackedPlans:
 
     ``flat`` is the whole batch as one plan over the concatenated slot
     sequence (its ``slot_bounds`` / ``active_start`` hold *global*
-    segment indices); ``rows[r]`` is row ``r``'s plan with row-local
-    indices -- views into the flat columns, bit-identical to planning
-    that row alone.  ``duration`` / ``i_load`` are the zero-padded 2D
-    forms the stacked kernels sweep (zero padding is bit-neutral in
-    every reduction the kernels perform).
+    segment indices); row ``r`` owns segments ``seg_offsets[r]`` up to
+    ``seg_offsets[r + 1]``.  ``duration`` / ``i_load`` are the
+    zero-padded 2D forms the stacked kernels sweep (zero padding is
+    bit-neutral in every reduction the kernels perform).
     """
 
     flat: TraceArrays
-    rows: list[TraceArrays]
     seg_offsets: np.ndarray  #: (R+1,) flat segment offset per row
     slot_offsets: np.ndarray  #: (R+1,) flat slot offset per row
     n_seg: np.ndarray  #: (R,) segments per row
@@ -267,35 +260,14 @@ class StackedPlans:
 
 
 def _stack_from_flat(flat: TraceArrays, counts: np.ndarray) -> StackedPlans:
-    """Carve one concatenated plan into per-row views + padded 2D columns."""
+    """Carve one concatenated plan into row offsets + padded 2D columns."""
     slot_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-    g_bounds = flat.slot_bounds
-    seg_offsets = g_bounds[slot_offsets]
-    rows: list[TraceArrays] = []
-    for r in range(counts.shape[0]):
-        slo = int(slot_offsets[r])
-        shi = int(slot_offsets[r + 1])
-        lo = int(seg_offsets[r])
-        hi = int(seg_offsets[r + 1])
-        rows.append(
-            TraceArrays(
-                duration=flat.duration[lo:hi],
-                i_load=flat.i_load[lo:hi],
-                kind=flat.kind[lo:hi],
-                phase_duration=None,
-                phase_demand=None,
-                slot_bounds=g_bounds[slo : shi + 1] - lo,
-                active_start=flat.active_start[slo:shi] - lo,
-                slept=flat.slept[slo:shi],
-                aborted=flat.aborted[slo:shi],
-            )
-        )
+    seg_offsets = flat.slot_bounds[slot_offsets]
     n_seg = np.diff(seg_offsets)
     width = int(n_seg.max()) if n_seg.size else 0
     valid = np.arange(width)[None, :] < n_seg[:, None]
     return StackedPlans(
         flat=flat,
-        rows=rows,
         seg_offsets=seg_offsets,
         slot_offsets=slot_offsets,
         n_seg=n_seg,
@@ -303,37 +275,6 @@ def _stack_from_flat(flat: TraceArrays, counts: np.ndarray) -> StackedPlans:
         i_load=_pad_rows(flat.i_load, valid),
         valid_seg=valid,
     )
-
-
-def stack_plans(plans: Sequence[TraceArrays]) -> StackedPlans:
-    """Stack already-compiled per-seed plans into one :class:`StackedPlans`.
-
-    The concatenated ``flat`` plan is rebuilt by offsetting each row's
-    index columns -- exact integer arithmetic, so carving it back up
-    (or padding it) reproduces the inputs bit for bit.  Used by the
-    equivalence tests and the shared-memory transport; the batch driver
-    plans the concatenation directly instead.
-    """
-    counts = np.array([p.n_slots for p in plans], dtype=np.intp)
-    seg_counts = np.array([p.n_segments for p in plans], dtype=np.intp)
-    seg_off = np.concatenate(([0], np.cumsum(seg_counts))).astype(np.intp)
-    flat = TraceArrays(
-        duration=np.concatenate([p.duration for p in plans]),
-        i_load=np.concatenate([p.i_load for p in plans]),
-        kind=np.concatenate([p.kind for p in plans]),
-        phase_duration=None,
-        phase_demand=None,
-        slot_bounds=np.concatenate(
-            [np.zeros(1, dtype=np.intp)]
-            + [p.slot_bounds[1:] + off for p, off in zip(plans, seg_off[:-1])]
-        ),
-        active_start=np.concatenate(
-            [p.active_start + off for p, off in zip(plans, seg_off[:-1])]
-        ),
-        slept=np.concatenate([p.slept for p in plans]),
-        aborted=np.concatenate([p.aborted for p in plans]),
-    )
-    return _stack_from_flat(flat, counts)
 
 
 # -- batched storage recurrence ----------------------------------------------
@@ -599,9 +540,9 @@ def _run_fc_stacked(
     sp: StackedPlans,
     slots: _BatchSlots,
     seeds: tuple[float, float],
-    idle_scan: tuple | None,
-    active_scan: tuple,
-) -> tuple[_StackedRun, dict]:
+    idle_preds: np.ndarray | None,
+    active_preds: np.ndarray,
+) -> _StackedRun:
     """Lockstep stacked pass for FC-DPM's storage-coupled slot solves.
 
     The per-row sequential loop (``vectorized._run_fc``) cannot batch
@@ -619,23 +560,22 @@ def _run_fc_stacked(
     storage-saturation guard, clamp ledger, and Section-4.2 active
     re-plan as vectorized mask arithmetic over all rows.
 
+    ``idle_preds`` / ``active_preds`` are the ``(rows, slots)``
+    prediction columns of the batched Eq. 14/15 scans; ``idle_preds``
+    is None when nobody observes the idle predictor, which then
+    predicts its frozen pre-run estimate every slot.
+
     Bit-exactness: every expression replays ``_run_fc``'s scalar op
     order (the solver by construction; the guard/realize/fuel/delta
     arithmetic via the shared ``_realize_commands`` /
     ``_fuel_currents`` / ``_storage_deltas`` helpers; phase folds as
-    masked sequential accumulation), so per-segment outputs, ledgers,
-    and controller end-state inputs equal the per-row pass bit for bit.
+    masked sequential accumulation), so per-segment outputs and ledgers
+    equal the per-row pass bit for bit.
     Rows shorter than the batch width go inert past their last slot:
     their lanes still compute (the scan columns hold each row's frozen
     estimate, so the dead solves stay in-range) but every commit is
     masked by validity.  Requires stacked eligibility (bottomless tank:
     no depletion aborts; exact controller/model types).
-
-    Returns the generic :class:`_StackedRun` (the driver's shared
-    assembly machinery consumes it like any other pass) plus the
-    FC-specific end-state columns the exit commit needs: per-row
-    solution fields, guard counts, running active-current sums, last
-    commands, and the active-plan flag.
     """
     controller = manager.controller
     source = manager.source
@@ -652,13 +592,13 @@ def _run_fc_stacked(
 
     est_idle0, est_active0 = seeds
     # Problem columns, floored exactly as the scalar pass floors them.
-    if idle_scan is None:
+    if idle_preds is None:
         ti2d = None
         ti_const = np.full(rows_n, max(est_idle0, 1e-6))
     else:
-        ti2d = np.maximum(idle_scan[0], 1e-6)
+        ti2d = np.maximum(idle_preds, 1e-6)
         ti_const = None
-    ta2d = np.maximum(active_scan[0], 1e-6)
+    ta2d = np.maximum(active_preds, 1e-6)
 
     slept2d = _pad_rows(flat.slept, valid).astype(bool)
     i_idle2d = np.where(slept2d, device.i_slp, device.i_sdb)
@@ -669,8 +609,8 @@ def _run_fc_stacked(
     i_pd2d = np.where(slept2d, ov.get("i_pd", 0.0), 0.0)
     i_active2d = _pad_rows(slots.i_active, valid)
 
-    # start_run happens at the exit commit; its inputs are the fresh
-    # manager's storage state, read here without mutating anything.
+    # What start_run would set, read from the fresh manager's storage
+    # state without mutating anything.
     c_target = storage.charge
     c_max_col = np.full(rows_n, storage.capacity)
     c_end_col = np.full(rows_n, c_target)
@@ -707,16 +647,7 @@ def _run_fc_stacked(
     bled = np.full(rows_n, storage.bled_charge)
     deficit = np.full(rows_n, storage.deficit_charge)
 
-    guards = np.zeros(rows_n, dtype=np.intp)
     acs = np.full(rows_n, controller._active_current_sum)
-    if_idle_last = np.full(rows_n, controller._if_idle)
-    if_active_last = np.full(rows_n, controller._if_active)
-    planned = np.full(rows_n, controller._active_planned, dtype=bool)
-
-    sol2d = {
-        name: np.zeros((rows_n, width_s), dtype=dtype)
-        for name, dtype in _SOL_FIELDS
-    }
 
     def integrate(active_mask, g_idx, r_vals, ifc_vals):
         """One segment column: fuel, storage clamp, per-segment scatter."""
@@ -766,12 +697,7 @@ def _run_fc_stacked(
                 i_wu=i_wu2d[:, k],
                 i_pd=i_pd2d[:, k],
             )
-            sol = solve_slot_array(probs, model)
-            for name, _ in _SOL_FIELDS:
-                sol2d[name][:, k] = getattr(sol, name)
-            if_idle = sol.if_idle
-            if_idle_last = np.where(vk, if_idle, if_idle_last)
-            if_active_last = np.where(vk, sol.if_active, if_active_last)
+            if_idle = solve_slot_array(probs, model).if_idle
 
             # Idle segments: guard + realize per segment column.
             icnt = icnt2d[:, k]
@@ -782,7 +708,6 @@ def _run_fc_stacked(
                 guard = ((cur >= hi_guard) & (if_idle > i_l)) | (
                     (cur <= lo_guard) & (if_idle < i_l)
                 )
-                guards += guard & act
                 cmd = np.where(
                     guard,
                     np.minimum(np.maximum(i_l, if_min), if_max),
@@ -805,8 +730,6 @@ def _run_fc_stacked(
             has_a = vk & (acnt > 0)
             if_a = np.where(has_a, (dem + c_target - cur) / rem, if_min)
             cmd_a = np.minimum(np.maximum(if_a, if_min), if_max)
-            if_active_last = np.where(has_a, cmd_a, if_active_last)
-            planned = np.where(vk, acnt > 0, planned)
             r_a = _realize_commands(fc, cmd_a)
             ifc_a = _fuel_currents(fc, r_a)
             for j in range(n_active):
@@ -815,7 +738,7 @@ def _run_fc_stacked(
 
             acs = np.where(vk, acs + i_active2d[:, k], acs)
 
-    run = _StackedRun(
+    return _StackedRun(
         fuel_flat=fuel_flat,
         delivered_flat=i_f_flat * durs,
         i_f_flat=i_f_flat,
@@ -824,29 +747,6 @@ def _run_fc_stacked(
         deficit=deficit,
         recharging=None,
     )
-    state = {
-        "sol2d": sol2d,
-        "guards": guards,
-        "acs": acs,
-        "acn0": acn0,
-        "if_idle_last": if_idle_last,
-        "if_active_last": if_active_last,
-        "planned": planned,
-    }
-    return run, state
-
-
-#: SlotSolution fields in declaration order, with their column dtypes.
-_SOL_FIELDS = tuple(
-    (f.name, bool if f.name in ("range_clamped", "capacity_limited") else float)
-    for f in dataclasses.fields(SlotSolution)
-)
-
-
-def _fc_row_solutions(sol2d: dict, row: int, n: int) -> list:
-    """Row ``row``'s first ``n`` solved slots as scalar ``SlotSolution``s."""
-    cols = SlotSolutionColumns(**{name: arr[row] for name, arr in sol2d.items()})
-    return [cols.row(k) for k in range(n)]
 
 
 # -- batch driver -------------------------------------------------------------
@@ -885,9 +785,10 @@ def simulate_batch_stacked(
     """Run a whole (seeds x policies) batch through the stacked kernel.
 
     Every spec in ``managers`` must already have passed
-    :func:`stacked_batch_ineligibility`.  Results, raised errors, and
-    manager end state are bit-identical to ``simulate_batch``'s serial
-    loop over the same seeds and specs.
+    :func:`stacked_batch_ineligibility`.  Results and the raised
+    ``SimulationError`` are bit-identical to ``simulate_batch``'s
+    per-seed loop over the same seeds and specs; the managers are only
+    read, never advanced (see the module docstring).
     """
     t_plan0 = time.perf_counter()
     rows_n = len(seed_list)
@@ -896,12 +797,11 @@ def simulate_batch_stacked(
     # Device-side sleep decisions: one batched predictor scan, exactly
     # PredictiveShutdownPolicy.decisions_array per row.  As in the
     # serial loop, the first spec's (fresh) policy is the probe whose
-    # decisions every spec shares; its end-state commit is deferred to
-    # the batch exit row.
+    # decisions every spec shares.
     probe = managers[specs[0]]
     policy = probe.policy
     predictor = policy.predictor
-    preds2d, idle_finals = exponential_average_scan_batch(
+    preds2d, _ = exponential_average_scan_batch(
         predictor.factor, predictor.estimate, slots.t_idle2d, slots.counts
     )
     fit_threshold = policy.params.t_pd + policy.params.t_wu
@@ -949,7 +849,6 @@ def simulate_batch_stacked(
     # Whole-batch Python lists, converted once: per-row list slices are
     # pointer copies, far cheaper than one ndarray.tolist() per row.
     counts_l = slots.counts.tolist()
-    n_seg_l = sp.n_seg.tolist()
     slot_off_l = sp.slot_offsets.tolist()
     slept_l = flat.slept.tolist()
     aborted_l = flat.aborted.tolist()
@@ -960,12 +859,9 @@ def simulate_batch_stacked(
     # Per-spec stacked passes.  FC-DPM batches its predictor scans and
     # then sweeps all rows in lockstep, one slot column per step.
     runs: dict[str, _StackedRun] = {}
-    fc_specs: dict[str, dict] = {}
-    initial_charge: dict[str, float] = {}
     for spec in specs:
         mgr = managers[spec]
         controller = mgr.controller
-        initial_charge[spec] = mgr.source.storage.charge
         ctype = type(controller)
         if ctype is ASAPDPMController:
             runs[spec] = _run_asap_stacked(mgr, sp)
@@ -974,7 +870,7 @@ def simulate_batch_stacked(
             feeds = getattr(mgr.policy, "predictor", None) is (
                 controller.idle_length_predictor
             )
-            idle_scan = None
+            idle_preds = None
             if controller.observes_idle or feeds:
                 ipred = controller.idle_length_predictor
                 if (
@@ -983,25 +879,18 @@ def simulate_batch_stacked(
                 ):
                     # Standard wiring shares the probe policy's filter
                     # configuration -- reuse the decision scan rows.
-                    idle_scan = (preds2d, idle_finals)
+                    idle_preds = preds2d
                 else:
-                    idle_scan = exponential_average_scan_batch(
+                    idle_preds, _ = exponential_average_scan_batch(
                         ipred.factor, ipred.estimate, slots.t_idle2d, slots.counts
                     )
             apred = controller.active_length_predictor
-            active_scan = exponential_average_scan_batch(
+            active_preds, _ = exponential_average_scan_batch(
                 apred.factor, seeds0[1], slots.t_active2d, slots.counts
             )
-            runs[spec], state = _run_fc_stacked(
-                mgr, sp, slots, seeds0, idle_scan, active_scan
+            runs[spec] = _run_fc_stacked(
+                mgr, sp, slots, seeds0, idle_preds, active_preds
             )
-            fc_specs[spec] = {
-                "seeds": seeds0,
-                "feeds": feeds,
-                "idle_scan": idle_scan,
-                "active_scan": active_scan,
-                "state": state,
-            }
         else:
             cmd0 = (
                 controller.model.if_max
@@ -1050,105 +939,6 @@ def simulate_batch_stacked(
             OBS.metrics.gauge("sim.batch_padded_fraction").set(padded)
             OBS.metrics.histogram("sim.batch_plan_stack_s").observe(plan_seconds)
 
-    def commit_probe_policy(row: int) -> None:
-        """Leave the probe policy exactly as replaying ``row`` would."""
-        n = counts_l[row]
-        lo = int(slots.offsets[row])
-        obs_row = slots.t_idle[lo : lo + n]
-        preds_row = preds2d[row, :n]
-        policy.predictor.commit_scan(obs_row, preds_row, float(idle_finals[row]))
-        policy.last_prediction = float(preds_row[-1])
-        policy._last_slept = bool(sleep2d[row, n - 1])
-        policy.n_decisions += n
-        policy.n_sleep_decisions += int(np.count_nonzero(sleep2d[row, :n]))
-
-    def commit_manager(spec: str, row: int) -> None:
-        """Commit one spec's manager to its state after ``row``."""
-        mgr = managers[spec]
-        run = runs[spec]
-        entry = finals[spec]
-        source = mgr.source
-        fc = source.fc
-        storage = source.storage
-        n = n_seg_l[row]
-        if n:
-            if run.const_i_f is not None:
-                fc._i_f = run.const_i_f
-            else:
-                last = int(sp.seg_offsets[row]) + n - 1
-                fc._i_f = float(run.i_f_flat[last])
-        total_fuel = float(entry["fuel_rows"][row])
-        fc.tank._consumed = total_fuel
-        storage._charge = float(run.charges[row, n])
-        storage.bled_charge = float(run.bled[row])
-        storage.deficit_charge = float(run.deficit[row])
-        source.total_fuel = total_fuel
-        source.total_load_charge = float(load_rows[row])
-        source.total_time = float(dur_rows[row])
-        source.total_delivered_charge = float(entry["delivered_rows"][row])
-        if run.recharging is not None:
-            mgr.controller._recharging = bool(run.recharging[row])
-
-    def commit_fc_controller(spec: str, row: int) -> None:
-        """Leave an FC controller exactly as replaying ``row`` would.
-
-        ``mgr.reset`` wipes the shared probe-policy predictor when this
-        spec owns it, so callers must run :func:`commit_probe_policy`
-        *after* every FC commit.
-        """
-        info = fc_specs[spec]
-        st = info["state"]
-        mgr = managers[spec]
-        mgr.reset(initial_charge[spec])
-        controller = mgr.controller
-        controller.start_run(mgr.source.storage.charge, mgr.source.storage.capacity)
-        n = counts_l[row]
-        lo = int(slots.offsets[row])
-        ap2d, a_fin = info["active_scan"]
-        idle_scan = info["idle_scan"]
-        controller.commit_kernel_run(
-            n,
-            if_idle=float(st["if_idle_last"][row]),
-            if_active=float(st["if_active_last"][row]),
-            active_planned=bool(st["planned"][row]),
-            active_current_sum=float(st["acs"][row]),
-            active_current_n=st["acn0"] + n,
-            solutions=_fc_row_solutions(st["sol2d"], row, n),
-            n_guards=int(st["guards"][row]),
-            active_commit=(
-                slots.t_active[lo : lo + n],
-                ap2d[row, :n],
-                float(a_fin[row]),
-            ),
-            idle_commit=(
-                (
-                    slots.t_idle[lo : lo + n],
-                    idle_scan[0][row, :n],
-                    float(idle_scan[1][row]),
-                )
-                if controller.observes_idle
-                else None
-            ),
-            frozen_idle_estimate=None if info["feeds"] else info["seeds"][0],
-        )
-
-    def commit_exit(row: int, raising_index: int | None) -> None:
-        """Deferred end-state commits at the batch exit point.
-
-        On success (``raising_index`` None) every spec gets ``row``.  On
-        a deficit raise at (row, spec j), the serial loop had already
-        run specs ``<= j`` on that row and specs ``> j`` only up to the
-        previous one.
-        """
-        for i, spec in enumerate(specs):
-            target = row if raising_index is None or i <= raising_index else row - 1
-            if target < 0:
-                continue  # fresh manager, untouched so far
-            if spec in fc_specs:
-                commit_fc_controller(spec, target)
-            commit_manager(spec, target)
-        commit_probe_policy(row)
-
     mdf = max_deficit_fraction
     results: dict[int, dict[str, SimulationResult]] = {}
     for r, seed in enumerate(seed_list):
@@ -1156,14 +946,13 @@ def simulate_batch_stacked(
         n_slots_r = counts_l[r]
         slo = slot_off_l[r]
         shi = slo + n_slots_r
-        for i, spec in enumerate(specs):
+        for spec in specs:
             mgr = managers[spec]
             run = runs[spec]
             entry = finals[spec]
             deficit_r = float(run.deficit[r])
             load_r = float(load_rows[r])
             if deficit_r > load_r * mdf:
-                commit_exit(r, i)
                 raise SimulationError(
                     f"{mgr.name}: storage deficit "
                     f"{deficit_r:.2f} A-s exceeds "
@@ -1208,5 +997,4 @@ def simulate_batch_stacked(
                 recorder=None,
             )
         results[seed] = per_policy
-    commit_exit(rows_n - 1, None)
     return results

@@ -9,9 +9,11 @@ Two contracts, both absolute:
   and the floor-overflow bleed where the ``Cmax`` correction lands
   below ``IF,min``);
 * the lockstep FC-DPM stacked route (``sim.stacked._run_fc_stacked``)
-  equals the serial per-seed loop on every ``SimulationResult`` field
-  *and* the full manager / controller / predictor end state, on ragged
-  traces and across mid-batch deficit raises.
+  equals the per-seed ``simulate_fast`` loop on every
+  ``SimulationResult`` field, on ragged traces, and raises the same
+  error on mid-batch deficit raises; the loop, whose managers the
+  caller owns, leaves the full manager / controller / predictor end
+  state of the scalar simulator.
 
 ``==`` on raw float64 bits is the only comparison -- a single differing
 bit (including a -0.0 vs +0.0 drift) fails.
@@ -23,7 +25,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.vectorized as vectorized
 from repro.core.optimizer import solve_slot
 from repro.core.optimizer_array import SlotProblemColumns, solve_slot_array
 from repro.core.setting import SlotProblem
@@ -33,7 +34,8 @@ from repro.fuelcell.efficiency import (
     LinearSystemEfficiency,
 )
 from repro.scenario import get_scenario
-from repro.sim.vectorized import simulate_batch
+from repro.sim.slotsim import SlotSimulator
+from repro.sim.vectorized import _policy_manager, simulate_batch, simulate_fast
 from repro.workload.trace import LoadTrace, TaskSlot
 
 MODELS = [LinearSystemEfficiency(), ConstantSystemEfficiency()]
@@ -259,32 +261,39 @@ def _fc_state(mgr):
     }
 
 
-def _run_spied(scenario, seeds, policies, **kwargs):
-    """Run a batch recording every built manager; capture any raise."""
+def _run_loop(scenario, seeds, policies, traces, run):
+    """``run(manager, trace)`` per (seed, spec) on fresh managers.
+
+    Returns ``(results, error, managers)``: the batch-shaped results
+    (None after a raise), the first ``(type, message)`` raised, and the
+    last manager built per spec.
+    """
+    results = {}
     managers = {}
-    original = vectorized._policy_manager
+    for seed in seeds:
+        per_policy = {}
+        for spec in policies:
+            mgr = managers[spec] = _policy_manager(scenario, spec)
+            try:
+                per_policy[spec] = run(mgr, traces[seed])
+            except SimulationError as exc:
+                return None, (type(exc), str(exc)), managers
+        results[seed] = per_policy
+    return results, None, managers
 
-    def spy(sc, spec):
-        mgr = original(sc, spec)
-        managers.setdefault(spec, []).append(mgr)
-        return mgr
 
-    vectorized._policy_manager = spy
-    error = None
-    results = None
+def _batch(scenario, seeds, policies, **kwargs):
+    """``(results, error)`` of one ``simulate_batch`` call."""
     try:
-        results = simulate_batch(scenario, seeds, policies, **kwargs)
+        return simulate_batch(scenario, seeds, policies, **kwargs), None
     except SimulationError as exc:
-        error = (type(exc), str(exc))
-    finally:
-        vectorized._policy_manager = original
-    return results, error, managers
+        return None, (type(exc), str(exc))
 
 
 @given(traces=st.lists(slot_lists, min_size=1, max_size=4))
 @settings(max_examples=10, deadline=None)
 def test_fc_stacked_matches_loop_every_field_and_end_state(traces):
-    """Lockstep FC pass vs per-row loop: results + full end state.
+    """Lockstep FC pass vs per-seed loop: results + the loop's end state.
 
     Adversarial ragged traces with the deficit guard disabled -- the
     accounting is under test, not the plant sizing.
@@ -292,20 +301,23 @@ def test_fc_stacked_matches_loop_every_field_and_end_state(traces):
     sc = get_scenario("exp2-conv-dpm")
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
-    a, err_a, mgrs_a = _run_spied(
-        sc, seeds, ["fc-dpm"], traces=built, stacked=True,
-        max_deficit_fraction=1.0,
+    a, err_a = _batch(
+        sc, seeds, ["fc-dpm"], traces=built, max_deficit_fraction=1.0
     )
-    b, err_b, mgrs_b = _run_spied(
-        sc, seeds, ["fc-dpm"], traces=built, stacked=False,
-        max_deficit_fraction=1.0,
+    b, err_b, mgrs_b = _run_loop(
+        sc, seeds, ["fc-dpm"], built,
+        lambda m, t: simulate_fast(m, t, max_deficit_fraction=1.0),
+    )
+    _, _, mgrs_c = _run_loop(
+        sc, seeds, ["fc-dpm"], built,
+        lambda m, t: SlotSimulator(m, max_deficit_fraction=1.0).run(t),
     )
     assert err_a == err_b is None
     assert a.keys() == b.keys()
     for seed in seeds:
         ra, rb = a[seed]["fc-dpm"], b[seed]["fc-dpm"]
         assert dataclasses.asdict(ra) == dataclasses.asdict(rb), seed
-    assert _fc_state(mgrs_a["fc-dpm"][-1]) == _fc_state(mgrs_b["fc-dpm"][-1])
+    assert _fc_state(mgrs_b["fc-dpm"]) == _fc_state(mgrs_c["fc-dpm"])
 
 
 @given(
@@ -314,7 +326,7 @@ def test_fc_stacked_matches_loop_every_field_and_end_state(traces):
 )
 @settings(max_examples=10, deadline=None)
 def test_fc_stacked_mid_batch_raise_matches_loop(traces, raising_row):
-    """A deficit raise mid-batch leaves bit-identical committed state."""
+    """A deficit raise mid-batch raises the loop's exact error."""
     raising_row = min(raising_row, len(traces) - 1)
     # Force a deficit on one row: a long, heavy active burst.
     traces = list(traces)
@@ -325,17 +337,13 @@ def test_fc_stacked_mid_batch_raise_matches_loop(traces, raising_row):
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
     policies = ["fc-dpm", "static:0.4"]
-    a, err_a, mgrs_a = _run_spied(
-        sc, seeds, policies, traces=built, stacked=True
-    )
-    b, err_b, mgrs_b = _run_spied(
-        sc, seeds, policies, traces=built, stacked=False
-    )
-    assert err_a == err_b
+    a, err_a = _batch(sc, seeds, policies, traces=built)
+    b, err_b, _ = _run_loop(sc, seeds, policies, built, simulate_fast)
+    _, err_c = _batch(sc, seeds, policies, traces=built, fast=False)
+    assert err_a == err_b == err_c
     assert (a is None) == (b is None)
     if a is not None:
         for seed in seeds:
             for name in policies:
                 ra, rb = a[seed][name], b[seed][name]
                 assert dataclasses.asdict(ra) == dataclasses.asdict(rb)
-    assert _fc_state(mgrs_a["fc-dpm"][-1]) == _fc_state(mgrs_b["fc-dpm"][-1])

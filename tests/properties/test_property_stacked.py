@@ -3,8 +3,8 @@
 Three layers of the stacked route carry their own exactness contract:
 the batched clamp recurrence must equal the 1D recurrence per row, the
 batched predictor scan must equal the 1D scan per row, and the whole
-``simulate_batch`` stacked route must equal the serial per-seed loop on
-every result field.  Hypothesis drives ragged shapes, clamp-dense
+``simulate_batch`` stacked route must equal the scalar oracle
+(``fast=False``) on every result field.  Hypothesis drives ragged shapes, clamp-dense
 deltas, and degenerate rescan budgets at each layer; ``==`` is the only
 comparison -- a single differing bit fails.
 """
@@ -118,7 +118,7 @@ slot_lists = st.lists(
 @given(traces=st.lists(slot_lists, min_size=2, max_size=4))
 @settings(max_examples=10, deadline=None)
 def test_stacked_batch_matches_serial_loop(traces):
-    """Stacked vs loop on adversarial ragged traces, every field exact."""
+    """Stacked vs scalar on adversarial ragged traces, every field exact."""
     sc = get_scenario("exp2-conv-dpm")
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
@@ -126,11 +126,10 @@ def test_stacked_batch_matches_serial_loop(traces):
     # Adversarial traces may overwhelm the storage; accounting is under
     # test, not sizing, so the deficit guard is disabled.
     a = simulate_batch(
-        sc, seeds, policies, traces=built, stacked=True,
-        max_deficit_fraction=1.0,
+        sc, seeds, policies, traces=built, max_deficit_fraction=1.0
     )
     b = simulate_batch(
-        sc, seeds, policies, traces=built, stacked=False,
+        sc, seeds, policies, traces=built, fast=False,
         max_deficit_fraction=1.0,
     )
     assert a.keys() == b.keys()

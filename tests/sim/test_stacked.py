@@ -1,13 +1,15 @@
-"""Stacked 2D batch kernel: equivalence, routing, transport, fleet smoke.
+"""Stacked 2D batch kernel: equivalence, routing, plan stacking, fleet smoke.
 
 The stacked route's contract is absolute: for every seed, every
-``SimulationResult`` field and every manager/controller/policy end state
-must equal the serial per-seed loop bit for bit -- including which
-``SimulationError`` is raised, with which message, leaving which
-committed state behind.  These tests pin that contract plus the new
-batch plumbing: duplicate-seed rejection, stacked/loop routing and its
-telemetry, the one-segment shared-memory transport, and the
-``fleet_smoke`` scenario's golden aggregates.
+``SimulationResult`` field must equal the scalar oracle and the
+per-seed ``simulate_fast`` loop bit for bit -- including which
+``SimulationError`` is raised, with which message.  Batch managers are
+private to ``simulate_batch``, so end state is pinned only where a
+caller owns the manager: the per-seed loop's raising manager must hold
+the scalar simulator's committed state.  These tests also pin the batch
+plumbing: duplicate-seed rejection, stacked/loop routing and its
+telemetry, plan stacking, the parallel route, and the ``fleet_smoke``
+scenario's golden aggregates.
 """
 
 import dataclasses
@@ -16,23 +18,19 @@ import numpy as np
 import pytest
 
 import repro.sim.stacked as stacked_mod
-import repro.sim.vectorized as vectorized
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import observing
-from repro.runtime.shm import SharedArrayStore
 from repro.scenario import get_scenario
-from repro.sim.stacked import (
-    stack_plans,
-    stacked_batch_ineligibility,
-)
+from repro.sim.slotsim import SlotSimulator
+from repro.sim.stacked import _stack_from_flat, stacked_batch_ineligibility
 from repro.sim.vectorized import (
     _policy_manager,
-    _stack_plan_group,
-    _stacked_plan_row,
     plan_trace_arrays,
     replay_policy,
     simulate_batch,
+    simulate_fast,
 )
+from repro.workload.trace import LoadTrace
 
 POLICIES = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
 
@@ -91,26 +89,43 @@ def _manager_state(mgr):
     return state
 
 
-def _run_with_spy(scenario, seeds, policies, **kwargs):
-    """Run a batch recording every built manager; may raise in results."""
-    managers = {}
-    original = vectorized._policy_manager
+def _fast_loop(scenario, seeds, policies, traces=None):
+    """Per-seed ``simulate_fast`` on fresh managers: the batch reference."""
+    traces = traces or {}
+    out = {}
+    for seed in seeds:
+        trace = traces.get(seed) or scenario.build_trace(seed)
+        out[seed] = {
+            spec: simulate_fast(_policy_manager(scenario, spec), trace)
+            for spec in policies
+        }
+    return out
 
-    def spy(sc, spec):
-        mgr = original(sc, spec)
-        managers.setdefault(spec, []).append(mgr)
-        return mgr
 
-    vectorized._policy_manager = spy
-    error = None
-    results = None
+def _first_raise(scenario, seeds, policies, run):
+    """The first raise of ``run(manager, trace)`` in batch order.
+
+    Runs every (seed, spec) on a fresh manager until one raises and
+    returns ``((type, message), manager)``, or ``(None, None)``.
+    """
+    for seed in seeds:
+        trace = scenario.build_trace(seed)
+        for spec in policies:
+            mgr = _policy_manager(scenario, spec)
+            try:
+                run(mgr, trace)
+            except SimulationError as exc:
+                return (type(exc), str(exc)), mgr
+    return None, None
+
+
+def _batch_error(scenario, seeds, policies, **kwargs):
+    """The ``(type, message)`` a batch raises, or None."""
     try:
-        results = simulate_batch(scenario, seeds, policies, **kwargs)
+        simulate_batch(scenario, seeds, policies, **kwargs)
     except SimulationError as exc:
-        error = (type(exc), str(exc))
-    finally:
-        vectorized._policy_manager = original
-    return results, error, managers
+        return type(exc), str(exc)
+    return None
 
 
 def _assert_batches_equal(a, b):
@@ -130,46 +145,43 @@ class TestStackedEquivalence:
     def test_stacked_matches_loop_every_field(self, policies):
         sc = get_scenario("exp2-conv-dpm")
         seeds = list(range(6))
-        a = simulate_batch(sc, seeds, policies, stacked=True)
-        b = simulate_batch(sc, seeds, policies, stacked=False)
+        a = simulate_batch(sc, seeds, policies)
+        b = _fast_loop(sc, seeds, policies)
         _assert_batches_equal(a, b)
 
     def test_stacked_matches_scalar(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [0, 1, 2]
-        a = simulate_batch(sc, seeds, POLICIES, stacked=True)
+        a = simulate_batch(sc, seeds, POLICIES)
         b = simulate_batch(sc, seeds, POLICIES, fast=False)
         _assert_batches_equal(a, b)
 
     def test_stacked_single_seed_matches_loop(self):
-        a = simulate_batch("exp2-conv-dpm", [7], POLICIES, stacked=True)
-        b = simulate_batch("exp2-conv-dpm", [7], POLICIES, stacked=False)
-        _assert_batches_equal(a, b)
-
-    def test_manager_end_state_matches_loop(self):
-        sc = get_scenario("exp2-conv-dpm")
-        seeds = list(range(5))
-        _, _, stacked_mgrs = _run_with_spy(sc, seeds, POLICIES, stacked=True)
-        _, _, loop_mgrs = _run_with_spy(sc, seeds, POLICIES, stacked=False)
-        for spec in POLICIES:
-            sa = _manager_state(stacked_mgrs[spec][0])
-            sb = _manager_state(loop_mgrs[spec][0])
-            assert sa == sb, spec
+        # A stacked row equals the same seed run alone, which takes the
+        # per-seed route.
+        stacked = simulate_batch("exp2-conv-dpm", [6, 7], POLICIES)
+        alone = simulate_batch("exp2-conv-dpm", [7], POLICIES)
+        _assert_batches_equal({7: stacked[7]}, alone)
+        _assert_batches_equal(
+            alone, _fast_loop(get_scenario("exp2-conv-dpm"), [7], POLICIES)
+        )
 
     def test_prebuilt_and_partial_traces_match_loop(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [3, 4, 5, 6]
-        traces = {s: sc.build_trace(s) for s in seeds[:2]}  # partial
-        a = simulate_batch(sc, seeds, POLICIES, traces=traces, stacked=True)
-        b = simulate_batch(sc, seeds, POLICIES, traces=traces, stacked=False)
+        traces = {s: sc.build_trace(s + 100) for s in seeds[:2]}  # partial
+        a = simulate_batch(sc, seeds, POLICIES, traces=traces)
+        b = _fast_loop(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, b)
+        c = simulate_batch(sc, seeds, POLICIES, traces=traces, fast=False)
+        _assert_batches_equal(a, c)
 
     def test_obs_enabled_route_stays_exact(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [0, 1, 2]
         with observing():
-            a = simulate_batch(sc, seeds, POLICIES, stacked=True)
-            b = simulate_batch(sc, seeds, POLICIES, stacked=False)
+            a = simulate_batch(sc, seeds, POLICIES)
+            b = simulate_batch(sc, seeds, POLICIES, fast=False)
         _assert_batches_equal(a, b)
 
 
@@ -197,18 +209,23 @@ class TestStackedDeficitRaise:
     )
     def test_raise_and_committed_state_match_loop(self, policies):
         sc, order, threshold = self._mid_batch_setup()
-        ra, ea, ma = _run_with_spy(
-            sc, order, policies, max_deficit_fraction=threshold, stacked=True
+        stacked = _batch_error(sc, order, policies, max_deficit_fraction=threshold)
+        scalar = _batch_error(
+            sc, order, policies, max_deficit_fraction=threshold, fast=False
         )
-        rb, eb, mb = _run_with_spy(
-            sc, order, policies, max_deficit_fraction=threshold, stacked=False
+        loop, loop_mgr = _first_raise(
+            sc, order, policies,
+            lambda m, t: simulate_fast(m, t, max_deficit_fraction=threshold),
         )
-        assert ra is None and rb is None
-        assert ea == eb  # same exception type + message
-        # The loop stops building managers at the raise; every manager
-        # both routes built must hold identical committed state.
-        for spec in set(ma) & set(mb):
-            assert _manager_state(ma[spec][0]) == _manager_state(mb[spec][0])
+        oracle, oracle_mgr = _first_raise(
+            sc, order, policies,
+            lambda m, t: SlotSimulator(m, max_deficit_fraction=threshold).run(t),
+        )
+        assert stacked is not None
+        assert stacked == scalar == loop == oracle  # type + message
+        # simulate_fast commits the caller's manager before the guard
+        # raises, exactly as the scalar simulator leaves it.
+        assert _manager_state(loop_mgr) == _manager_state(oracle_mgr)
 
 
 class TestBatchRouting:
@@ -223,23 +240,13 @@ class TestBatchRouting:
                 "exp2-conv-dpm", [1, np.int64(1)], ["conv-dpm"]
             )
 
-    def test_stacked_requires_fast(self):
-        with pytest.raises(ConfigurationError, match="requires fast"):
-            simulate_batch(
-                "exp2-conv-dpm", [0, 1], ["conv-dpm"], stacked=True, fast=False
-            )
-
-    def test_stacked_true_rejects_ineligible_spec(self):
-        with pytest.raises(ConfigurationError, match="not stacked-eligible"):
-            simulate_batch("exp1-battery", [0, 1], stacked=True)
-
     def test_auto_mode_falls_back_to_loop(self):
         seeds = [0, 1]
         with observing() as obs:
             auto = simulate_batch("exp1-battery", seeds)
             snapshot = obs.metrics.snapshot()
-        explicit = simulate_batch("exp1-battery", seeds, stacked=False)
-        _assert_batches_equal(auto, explicit)
+        scalar = simulate_batch("exp1-battery", seeds, fast=False)
+        _assert_batches_equal(auto, scalar)
         assert snapshot["sim.batch_route{path=loop}"]["value"] == 1
         assert snapshot["sim.batch_fallback_rows"]["value"] == len(seeds)
         assert any(k.startswith("sim.batch_ineligible") for k in snapshot)
@@ -283,63 +290,44 @@ class TestBatchRouting:
 
 
 class TestStackedTransport:
-    def _plans(self, seeds):
+    def test_stack_plans_round_trip(self):
+        # Plan the concatenated slots of several seeds as one flat plan
+        # (each seed's decisions from its own fresh policy replay), then
+        # carve it: the padded 2D columns must hold each row's segments
+        # verbatim, zero past the row's end.
         sc = get_scenario("exp2-conv-dpm")
         mgr = _policy_manager(sc, "conv-dpm")
         initial = mgr.source.storage.charge
-        plans = []
-        for seed in seeds:
+        plans, slots, decisions = [], [], []
+        for seed in [0, 1, 2, 3]:
             mgr.reset(initial)
             trace = sc.build_trace(seed)
+            row = replay_policy(mgr.policy, trace)
             plans.append(
-                plan_trace_arrays(
-                    mgr.device,
-                    trace,
-                    replay_policy(mgr.policy, trace),
-                    phase_context=False,
-                )
+                plan_trace_arrays(mgr.device, trace, row, phase_context=False)
             )
-        return plans
-
-    def _assert_rows_equal(self, row, plan):
-        for name in ("duration", "i_load", "kind", "slot_bounds",
-                     "active_start", "slept", "aborted"):
-            np.testing.assert_array_equal(
-                getattr(row, name), getattr(plan, name), err_msg=name
-            )
-
-    def test_stack_plans_round_trip(self):
-        seeds = [0, 1, 2, 3]
-        plans = self._plans(seeds)
-        sp = stack_plans(plans)
+            slots.extend(trace)
+            decisions.extend(row)
+        flat = plan_trace_arrays(
+            mgr.device, LoadTrace(slots), decisions, phase_context=False
+        )
+        counts = np.array([p.n_slots for p in plans], dtype=np.intp)
+        sp = _stack_from_flat(flat, counts)
         assert sp.n_rows == len(plans)
-        for row, plan in zip(sp.rows, plans):
-            self._assert_rows_equal(row, plan)
-        # Padded 2D columns must hold each row's segments verbatim.
+        np.testing.assert_array_equal(
+            sp.n_seg, [p.n_segments for p in plans]
+        )
         for r, plan in enumerate(plans):
             n = plan.n_segments
             np.testing.assert_array_equal(sp.duration[r, :n], plan.duration)
+            np.testing.assert_array_equal(sp.i_load[r, :n], plan.i_load)
             assert not sp.duration[r, n:].any()
-
-    def test_shm_group_round_trip(self):
-        seeds = [4, 5, 6]
-        plans = self._plans(seeds)
-        group = _stack_plan_group(plans, seeds)
-        store = SharedArrayStore.create({"stacked": group})
-        try:
-            payload = {}
-            for seed, plan in zip(seeds, plans):
-                row = _stacked_plan_row(payload, store.handles["stacked"], seed)
-                self._assert_rows_equal(row, plan)
-            # Attach happens once; later rows reuse the cached views.
-            assert "_plan_stack" in payload
-        finally:
-            store.dispose()
+            assert sp.valid_seg[r].sum() == n
 
     def test_parallel_workers_match_serial(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = list(range(6))
-        serial = simulate_batch(sc, seeds, POLICIES, stacked=False)
+        serial = simulate_batch(sc, seeds, POLICIES)
         parallel = simulate_batch(sc, seeds, POLICIES, workers=2)
         _assert_batches_equal(parallel, serial)
 

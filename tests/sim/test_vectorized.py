@@ -219,6 +219,38 @@ class TestErrorParity:
         assert excs[0] == excs[1]
 
 
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Force a real two-process batch on any host; check shm hygiene.
+
+    Both the dispatch decision and ParallelMap's pool sizing cap at the
+    usable core count, so lift the cap: the requested count is used as
+    is (``workers=1`` stays in-process, as do the shard batches the
+    pool workers run).  Yields the worker counts passed to the parallel
+    route, and afterwards asserts that no batch segment outlives the
+    test in ``/dev/shm``.
+    """
+    import glob
+
+    from repro.runtime import parallel as parallel_mod
+    from repro.runtime.shm import SHM_PREFIX
+    from repro.sim import vectorized as vectorized_mod
+
+    monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+    monkeypatch.setattr(vectorized_mod, "resolve_workers", lambda w: w)
+    calls = []
+    original = vectorized_mod._simulate_batch_parallel
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["workers"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vectorized_mod, "_simulate_batch_parallel", counting)
+    before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+    yield calls
+    assert set(glob.glob(f"/dev/shm/{SHM_PREFIX}*")) == before
+
+
 class TestBatch:
     def test_fast_equals_scalar_including_adaptive(self):
         sc = get_scenario("exp1-conv-dpm")
@@ -233,28 +265,67 @@ class TestBatch:
             for result in fast[seed].values():
                 assert isinstance(result, SimulationResult)
 
-    def test_parallel_workers_match_serial_and_leak_nothing(self, monkeypatch):
-        # Both the dispatch decision and ParallelMap's pool sizing cap
-        # at the usable core count, so force two workers to exercise
-        # the real multi-process shared-memory path on any host.
-        import glob
-
-        from repro.runtime import parallel as parallel_mod
-        from repro.runtime.shm import SHM_PREFIX
-        from repro.sim import vectorized as vectorized_mod
-
-        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: 2)
-        monkeypatch.setattr(vectorized_mod, "resolve_workers", lambda w: 2)
-
-        before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+    def test_parallel_workers_match_serial_and_leak_nothing(self, forced_pool):
         sc = get_scenario("exp1-conv-dpm")
         seeds = [0, 1, 2, 3]
         policies = ["conv-dpm", "asap-dpm", "fc-dpm", "static:0.8"]
         serial = simulate_batch(sc, seeds, policies, fast=True, workers=1)
         parallel = simulate_batch(sc, seeds, policies, fast=True, workers=2)
+        assert forced_pool == [2]
         assert parallel == serial
-        # Segment hygiene: the batch's shared plans must be unlinked.
-        assert set(glob.glob(f"/dev/shm/{SHM_PREFIX}*")) == before
+
+    @pytest.mark.parametrize(
+        "name, policies, fast, partial_traces",
+        [
+            # Not stacked-eligible: every shard takes the per-seed loop.
+            ("exp1-battery", None, True, False),
+            # Caller traces for some seeds, synthesis for the rest: the
+            # coordinator gathers both into the shipped slot columns.
+            ("exp2-conv-dpm", ["conv-dpm", "fc-dpm"], True, True),
+            # The scalar oracle runs per shard too.
+            ("exp2-conv-dpm", ["asap-dpm", "fc-dpm"], False, False),
+        ],
+        ids=["ineligible-spec", "partial-traces", "scalar-oracle"],
+    )
+    def test_parallel_route_matches_serial(
+        self, forced_pool, name, policies, fast, partial_traces
+    ):
+        sc = get_scenario(name)
+        seeds = [3, 4, 5, 6, 7]
+        traces = None
+        if partial_traces:
+            traces = {s: sc.build_trace(s + 100) for s in seeds[1:3]}
+        kwargs = {"fast": fast, "traces": traces}
+        serial = simulate_batch(sc, seeds, policies, workers=1, **kwargs)
+        parallel = simulate_batch(sc, seeds, policies, workers=2, **kwargs)
+        assert forced_pool == [2]
+        assert parallel == serial
+
+    def test_parallel_deficit_raise_matches_serial(self, forced_pool):
+        # Order seeds by static:0.4's deficit ratio and set the guard
+        # between the extremes: early rows pass, a later row raises.
+        # The message names that row's deficit, so it pins which row
+        # and spec raised first.
+        sc = get_scenario("exp2-conv-dpm")
+        ratios = {}
+        for seed in range(6):
+            res = simulate_batch(
+                sc, [seed], ["static:0.4"], max_deficit_fraction=1.0
+            )[seed]["static:0.4"]
+            ratios[seed] = res.deficit / res.load_charge
+        order = sorted(ratios, key=ratios.get)
+        threshold = (ratios[order[0]] + ratios[order[-1]]) / 2
+        policies = ["conv-dpm", "static:0.4"]
+        excs = []
+        for workers in (1, 2):
+            with pytest.raises(SimulationError) as exc:
+                simulate_batch(
+                    sc, order, policies,
+                    max_deficit_fraction=threshold, workers=workers,
+                )
+            excs.append((type(exc.value), str(exc.value)))
+        assert forced_pool == [2]
+        assert excs[0] == excs[1]
 
     def test_accepts_scenario_name_string(self):
         by_name = simulate_batch("exp1-conv-dpm", [7])
