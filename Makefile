@@ -53,9 +53,9 @@ trace-smoke:
 exp-smoke:
 	rm -rf exp-smoke-out
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp define smoke-a \
-		--scenario exp2-fc-dpm --seeds 0:3 --policies conv-dpm,fc-dpm --fast
+		--scenario exp2-fc-dpm --seeds 0:3 --policies conv-dpm,fc-dpm
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp define smoke-b \
-		--scenario exp2-asap-dpm --seeds 0:3 --fast
+		--scenario exp2-asap-dpm --seeds 0:3
 	FCDPM_CACHE_DIR=exp-smoke-out FCDPM_EXP_ABORT_AFTER=2 \
 		$(PYTHON) -m repro.cli exp run smoke-a; test $$? -eq 3
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp resume smoke-a
@@ -76,7 +76,7 @@ exp-smoke:
 live-smoke:
 	rm -rf live-smoke-out
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp define live-a \
-		--scenario exp2-fc-dpm --seeds 0:4 --policies conv-dpm,fc-dpm --fast
+		--scenario exp2-fc-dpm --seeds 0:4 --policies conv-dpm,fc-dpm
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp run live-a \
 		--shard 1/2 --live --live-interval 0.2
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp run live-a \

@@ -27,6 +27,7 @@ from repro.runtime.parallel import ParallelMap, resolve_workers
 from repro.sim.montecarlo import run_seeds, table2_metrics
 from repro.sim.slotsim import SlotSimulator
 from repro.workload.mpeg import generate_mpeg_trace
+from tests.oracle import scalar_batch
 
 MODEL = LinearSystemEfficiency()
 PROBLEM = SlotProblem(
@@ -259,9 +260,10 @@ def test_bench_vectorized_batch(emit, kernel_record):
     """100-seed x 3-policy Monte-Carlo batch, warm best-of.
 
     Three timings over the same prebuilt traces: the scalar loop
-    (``fast=False``), the serial 1D kernel (a per-seed ``simulate_fast``
-    loop), and the full batch path (``fast=True, workers=`` every core,
-    which runs row shards of the stacked kernel in pool workers).
+    (:func:`tests.oracle.scalar_batch`), the serial 1D kernel (a
+    per-seed ``simulate_fast`` loop), and the full batch path
+    (``simulate_batch`` with every core as workers, which runs row
+    shards of the stacked kernel in pool workers).
     Gates: the serial
     kernel must hold >= 12x everywhere; the full path must reach >= 50x
     where the hardware can deliver it (>= 4 usable cores -- the same
@@ -280,18 +282,14 @@ def test_bench_vectorized_batch(emit, kernel_record):
     traces = {s: sc.build_trace(s) for s in seeds}
     workers = resolve_workers(0)
 
-    scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = _fast_loop(sc, seeds, policies, traces)
-    assert fast == scalar
+    scalar = scalar_batch(sc, seeds, policies, traces=traces)
+    assert _fast_loop(sc, seeds, policies, traces) == scalar
     if workers > 1:
-        parallel = simulate_batch(
-            sc, seeds, policies, fast=True, traces=traces, workers=0
-        )
+        parallel = simulate_batch(sc, seeds, policies, traces=traces, workers=0)
         assert parallel == scalar
 
     t_scalar = _best_wall(
-        lambda: simulate_batch(sc, seeds, policies, fast=False, traces=traces),
-        repeats=2,
+        lambda: scalar_batch(sc, seeds, policies, traces=traces), repeats=2
     )
     t_fast = _best_wall(
         lambda: _fast_loop(sc, seeds, policies, traces), repeats=5
@@ -299,7 +297,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
     ratio = t_scalar / t_fast
     lines = [
         "simulate_batch: 100 seeds x 3 policies (exp1-conv-dpm), warm best-of",
-        f"scalar loop (fast=False):  {1e3 * t_scalar:.1f} ms",
+        f"scalar loop (oracle):      {1e3 * t_scalar:.1f} ms",
         f"serial kernel (workers=1): {1e3 * t_fast:.1f} ms "
         f"| speedup {ratio:.1f}x",
     ]
@@ -313,9 +311,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
     }
     if workers > 1:
         t_batch = _best_wall(
-            lambda: simulate_batch(
-                sc, seeds, policies, fast=True, traces=traces, workers=0
-            ),
+            lambda: simulate_batch(sc, seeds, policies, traces=traces, workers=0),
             repeats=5,
         )
         batch_ratio = t_scalar / t_batch
@@ -352,13 +348,11 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
     policies = ["fc-dpm"]
     traces = {s: sc.build_trace(s) for s in seeds}
 
-    scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = _fast_loop(sc, seeds, policies, traces)
-    assert fast == scalar
+    scalar = scalar_batch(sc, seeds, policies, traces=traces)
+    assert _fast_loop(sc, seeds, policies, traces) == scalar
 
     t_scalar = _best_wall(
-        lambda: simulate_batch(sc, seeds, policies, fast=False, traces=traces),
-        repeats=2,
+        lambda: scalar_batch(sc, seeds, policies, traces=traces), repeats=2
     )
     t_fast = _best_wall(
         lambda: _fast_loop(sc, seeds, policies, traces), repeats=3
@@ -596,7 +590,7 @@ def test_bench_obs_disabled_overhead(emit):
     total_slots = sum(len(traces[s]) for s in seeds)
 
     def run():
-        return simulate_batch(sc, seeds, policies, fast=True, traces=traces)
+        return simulate_batch(sc, seeds, policies, traces=traces)
 
     run()  # warm the solver memo / manager caches outside the timing
     t_batch = _best_of(run, repeats=3, number=1)
@@ -669,7 +663,7 @@ def test_bench_obs_live_disabled_overhead(emit):
     traces = {s: sc.build_trace(s) for s in seeds}
 
     def run():
-        return simulate_batch(sc, seeds, policies, fast=True, traces=traces)
+        return simulate_batch(sc, seeds, policies, traces=traces)
 
     run()
     t_batch = _best_of(run, repeats=3, number=1)

@@ -22,7 +22,7 @@ REPEATS = 9
 
 
 def _bare():
-    return simulate_batch(SCENARIO, SEEDS, POLICIES, fast=True)
+    return simulate_batch(SCENARIO, SEEDS, POLICIES)
 
 
 def _orchestrated():

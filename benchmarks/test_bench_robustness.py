@@ -102,9 +102,9 @@ def test_bench_slew_rate(benchmark, emit):
         + "\nreading: above ~0.5 A/s the instant-retarget assumption is "
         "harmless (sub-0.1 A-s shortfalls vs a 6 A-s buffer).",
     )
-    fast = sweep[max(sweep)]
-    assert abs(fast.fuel_penalty) < 0.01
-    assert fast.worst_transition_shortfall < 0.2
+    steepest = sweep[max(sweep)]
+    assert abs(steepest.fuel_penalty) < 0.01
+    assert steepest.worst_transition_shortfall < 0.2
 
 
 def test_bench_multidevice_ordering(benchmark, emit):

@@ -57,20 +57,20 @@ def _sweep_base(scenario, seed: int) -> tuple[LoadTrace, DeviceParams]:
 
 
 def _storage_capacity_point(
-    trace: LoadTrace, dev: DeviceParams, cap: float, *, fast: bool = False
+    trace: LoadTrace, dev: DeviceParams, cap: float
 ) -> dict[str, float]:
     managers = [
         PowerManager.conv_dpm(dev, storage_capacity=cap, storage_initial=cap / 2),
         PowerManager.asap_dpm(dev, storage_capacity=cap, storage_initial=cap / 2),
         PowerManager.fc_dpm(dev, storage_capacity=cap, storage_initial=cap / 2),
     ]
-    results = simulate_policies(trace, managers, fast=fast)
+    results = simulate_policies(trace, managers)
     conv = results["conv-dpm"].fuel
     return {name: r.fuel / conv for name, r in results.items()}
 
 
 def _efficiency_slope_point(
-    trace: LoadTrace, dev: DeviceParams, beta: float, *, fast: bool = False
+    trace: LoadTrace, dev: DeviceParams, beta: float
 ) -> float:
     model = LinearSystemEfficiency(alpha=0.45, beta=beta)
     managers = [
@@ -81,12 +81,12 @@ def _efficiency_slope_point(
             dev, model=model, storage_capacity=6.0, storage_initial=3.0
         ),
     ]
-    results = simulate_policies(trace, managers, fast=fast)
+    results = simulate_policies(trace, managers)
     return 1.0 - results["fc-dpm"].fuel / results["asap-dpm"].fuel
 
 
 def _recharge_threshold_point(
-    trace: LoadTrace, dev: DeviceParams, th: float, *, fast: bool = False
+    trace: LoadTrace, dev: DeviceParams, th: float
 ) -> float:
     managers = [
         PowerManager.conv_dpm(dev, storage_capacity=6.0, storage_initial=3.0),
@@ -97,7 +97,7 @@ def _recharge_threshold_point(
             recharge_threshold=th,
         ),
     ]
-    results = simulate_policies(trace, managers, fast=fast)
+    results = simulate_policies(trace, managers)
     return results["asap-dpm"].fuel / results["conv-dpm"].fuel
 
 
@@ -115,7 +115,7 @@ _PREDICTOR_FACTORIES = {
 
 
 def _predictor_point(
-    trace: LoadTrace, dev: DeviceParams, name: str, *, fast: bool = False
+    trace: LoadTrace, dev: DeviceParams, name: str
 ) -> float:
     model = LinearSystemEfficiency()
     idle_predictor = _PREDICTOR_FACTORIES[name]()
@@ -135,21 +135,21 @@ def _predictor_point(
         PowerManager.conv_dpm(dev, storage_capacity=6.0, storage_initial=3.0),
         mgr,
     ]
-    results = simulate_policies(trace, managers, fast=fast)
+    results = simulate_policies(trace, managers)
     return results[name].fuel / results["conv-dpm"].fuel
 
 
 # -- public sweeps (thin clients of repro.exp) -------------------------------
 
 
-def _run_sweep(sweep: str, values, seed: int, scenario, fast: bool, workers: int):
+def _run_sweep(sweep: str, values, seed: int, scenario, workers: int):
     """Build the sweep's spec, run it ephemerally, reduce by knob."""
     # Lazy import: repro.exp.tasks calls back into this module's point
     # functions, so a top-level import would be circular.
     from ..exp import ExperimentResults, run_experiment, sweep_spec
     from ..exp.spec import SWEEP_KINDS
 
-    spec = sweep_spec(sweep, values, seed=seed, scenario=scenario, fast=fast)
+    spec = sweep_spec(sweep, values, seed=seed, scenario=scenario)
     run = run_experiment(spec, workers=workers)
     return ExperimentResults.from_run(run).by_knob(SWEEP_KINDS[sweep][1])
 
@@ -159,7 +159,6 @@ def storage_capacity_sweep(
     seed: int = 2007,
     workers: int = 1,
     scenario=None,
-    fast: bool = False,
 ) -> dict[float, dict[str, float]]:
     """Normalized fuel vs storage capacity ``Cmax``.
 
@@ -168,20 +167,19 @@ def storage_capacity_sweep(
     the globally flat optimum.  Returns
     ``{capacity: {policy: fuel_normalized_to_conv}}``.
 
-    ``fast=True`` routes each point's static policies through the
-    vectorized kernel; results are bit-identical either way (adaptive
-    controllers fall back to the scalar path inside
-    :func:`~repro.sim.slotsim.simulate_policies`).
+    Each point's policies run through
+    :func:`~repro.sim.slotsim.simulate_policies`, so the array kernel
+    serves every eligible configuration.
     """
     capacity_list = list(capacities)
     for cap in capacity_list:
         if cap <= 0:
             raise ConfigurationError("capacity must be positive")
-    return _run_sweep("storage", capacity_list, seed, scenario, fast, workers)
+    return _run_sweep("storage", capacity_list, seed, scenario, workers)
 
 
 def predictor_sweep(
-    seed: int = 2007, workers: int = 1, scenario=None, fast: bool = False
+    seed: int = 2007, workers: int = 1, scenario=None
 ) -> dict[str, float]:
     """FC-DPM fuel (normalized to Conv-DPM) per idle-period predictor.
 
@@ -190,7 +188,7 @@ def predictor_sweep(
     headroom better prediction buys.
     """
     names = list(_PREDICTOR_FACTORIES)
-    return _run_sweep("predictor", names, seed, scenario, fast, workers)
+    return _run_sweep("predictor", names, seed, scenario, workers)
 
 
 def efficiency_slope_sweep(
@@ -198,7 +196,6 @@ def efficiency_slope_sweep(
     seed: int = 2007,
     workers: int = 1,
     scenario=None,
-    fast: bool = False,
 ) -> dict[float, float]:
     """FC-DPM's fuel saving over ASAP-DPM versus the efficiency slope.
 
@@ -208,7 +205,7 @@ def efficiency_slope_sweep(
     ``{beta: fractional_saving_vs_asap}``.
     """
     beta_list = list(betas)
-    return _run_sweep("beta", beta_list, seed, scenario, fast, workers)
+    return _run_sweep("beta", beta_list, seed, scenario, workers)
 
 
 def recharge_threshold_sweep(
@@ -216,7 +213,6 @@ def recharge_threshold_sweep(
     seed: int = 2007,
     workers: int = 1,
     scenario=None,
-    fast: bool = False,
 ) -> dict[float, float]:
     """ASAP-DPM fuel (normalized to Conv-DPM) vs recharge threshold.
 
@@ -224,4 +220,4 @@ def recharge_threshold_sweep(
     this sweep shows its (mild) sensitivity.
     """
     threshold_list = list(thresholds)
-    return _run_sweep("recharge", threshold_list, seed, scenario, fast, workers)
+    return _run_sweep("recharge", threshold_list, seed, scenario, workers)

@@ -84,7 +84,6 @@ def table2(
     seed: int = 2007,
     record: bool = False,
     constants: Experiment1Constants | None = None,
-    fast: bool = False,
 ) -> TableResult:
     """Reproduce Table 2: the 28-minute MPEG camcorder experiment.
 
@@ -95,10 +94,9 @@ def table2(
     fixed by the buffer/writer so no active-length prediction is needed
     (the sigma filter converges to the constant immediately).
 
-    ``fast=True`` routes each policy through the vectorized kernel
-    (:func:`repro.sim.vectorized.simulate_fast`); the numbers are
-    identical -- FC-DPM is adaptive and transparently takes the scalar
-    path either way.
+    Each policy runs through :func:`repro.sim.vectorized.simulate_fast`:
+    the array kernel serves all three, and ``record=True`` falls back to
+    the scalar simulator with identical numbers.
     """
     c = constants if constants is not None else Experiment1Constants()
     trace = generate_mpeg_trace(duration_s=c.duration_s, seed=seed)
@@ -111,7 +109,7 @@ def table2(
         sigma=c.rho,
         active_current_estimate=None,
     )
-    results = simulate_policies(trace, managers, record=record, fast=fast)
+    results = simulate_policies(trace, managers, record=record)
     return TableResult(
         name="table2",
         normalized=compare([r.metrics for r in results.values()]),
@@ -124,16 +122,14 @@ def table3(
     seed: int = 2007,
     record: bool = False,
     constants: Experiment2Constants | None = None,
-    fast: bool = False,
 ) -> TableResult:
     """Reproduce Table 3: the randomized synthetic experiment.
 
     Idle U[5, 25] s, active U[2, 4] s, active power U[12, 16] W, heavy
     SLEEP overheads (1 s at 1.2 A each way), ``Tbe = 10 s``,
     ``rho = sigma = 0.5`` and the future active current estimated as the
-    constant 1.2 A -- all per paper Section 5.2.
-
-    ``fast=True`` as in :func:`table2`.
+    constant 1.2 A -- all per paper Section 5.2.  Routing as in
+    :func:`table2`.
     """
     e = constants if constants is not None else Experiment2Constants()
     trace = experiment2_trace(constants=e, seed=seed)
@@ -146,7 +142,7 @@ def table3(
         sigma=e.sigma,
         active_current_estimate=e.i_active_estimate,
     )
-    results = simulate_policies(trace, managers, record=record, fast=fast)
+    results = simulate_policies(trace, managers, record=record)
     return TableResult(
         name="table3",
         normalized=compare([r.metrics for r in results.values()]),

@@ -180,14 +180,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def compute() -> dict[str, float]:
         manager = sc.build_manager()
         trace = sc.build_trace(args.seed)
-        if args.fast:
-            from .sim.vectorized import simulate_fast
+        from .sim.vectorized import simulate_fast
 
-            result = simulate_fast(manager, trace)
-        else:
-            from .sim.slotsim import SlotSimulator
-
-            result = SlotSimulator(manager).run(trace)
+        result = simulate_fast(manager, trace)
         return {
             "fuel": result.fuel,
             "load_charge": result.load_charge,
@@ -201,10 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace is not None:
         metrics = _traced_run(sc, args, compute)
     else:
-        # --fast is deliberately NOT part of the cache key: the
-        # vectorized kernel is gated on bit-exact equality with the
-        # scalar simulator, so both paths must share (and may serve each
-        # other's) entries.
         metrics = _cache(args).cached(
             "run", {"seed": args.seed, "scenario": sc.to_dict()}, compute
         )
@@ -227,9 +218,7 @@ def _traced_run(sc, args: argparse.Namespace, compute) -> dict[str, float]:
     from .obs import build_manifest, observing, trace_summary, write_trace_bundle
 
     with observing() as obs:
-        with obs.span(
-            "run", scenario=sc.name, seed=args.seed, fast=args.fast
-        ):
+        with obs.span("run", scenario=sc.name, seed=args.seed):
             t_wall = time.time()
             t_cpu = time.process_time()
             metrics = compute()
@@ -242,15 +231,14 @@ def _traced_run(sc, args: argparse.Namespace, compute) -> dict[str, float]:
         for key, data in snapshot.items()
         if key.startswith("sim.route")
     }
+    route = ""
     if route_counts:
-        route = max(route_counts, key=route_counts.get)
-        route = route[route.find("path=") + 5 :].rstrip("}")
-    else:
-        route = "fast" if args.fast else "scalar"
+        key = max(route_counts, key=route_counts.get)
+        route = key[key.find("path=") + 5 :].rstrip("}")
     manifest = build_manifest(
         f"run:{sc.name}",
         scenario=sc.to_dict(),
-        params={"seed": args.seed, "fast": args.fast},
+        params={"seed": args.seed},
         seeds=[args.seed],
         workers=args.workers,
         route=route,
@@ -546,7 +534,6 @@ def _cmd_exp(args: argparse.Namespace) -> int:
                 seeds=tuple(args.seeds if args.seeds is not None else (2007,)),
                 policies=tuple(args.policies.split(",")) if args.policies else (),
                 ablations=tuple(_parse_ablations(args.ablate or [])),
-                fast=args.fast,
             )
             state = store.define(spec, overwrite=args.overwrite)
             print(f"defined {spec.name!r}: {spec.n_tasks} tasks "
@@ -715,13 +702,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list registered scenarios"
     )
     run.add_argument(
-        "--fast",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="use the vectorized kernel (bit-identical output; adaptive "
-        "controllers transparently fall back to the scalar simulator)",
-    )
-    run.add_argument(
         "--trace",
         metavar="DIR",
         help="run with telemetry enabled and write spans.jsonl, "
@@ -755,9 +735,6 @@ def main(argv: list[str] | None = None) -> int:
     exp_define.add_argument(
         "--ablate", action="append", metavar="KNOB=V1,V2",
         help="one ablation axis (repeatable; cross product is expanded)",
-    )
-    exp_define.add_argument(
-        "--fast", action="store_true", help="route through the vectorized kernel"
     )
     exp_define.add_argument(
         "--overwrite", action="store_true",

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..fuelcell.efficiency import SystemEfficiencyModel
 from .optimizer import _EPS
-from .setting import SlotProblem, SlotSolution
+from .setting import SlotProblem
 
 
 def _pymax(a, b):
@@ -95,23 +95,6 @@ class SlotProblemColumns:
     def __len__(self) -> int:
         return len(self.t_idle)
 
-    def row(self, i: int) -> SlotProblem:
-        """Rebuild row ``i`` as a scalar :class:`SlotProblem`."""
-        return SlotProblem(
-            t_idle=float(self.t_idle[i]),
-            t_active=float(self.t_active[i]),
-            i_idle=float(self.i_idle[i]),
-            i_active=float(self.i_active[i]),
-            c_ini=float(self.c_ini[i]),
-            c_end=float(self.c_end[i]),
-            c_max=float(self.c_max[i]),
-            sleeping=bool(self.sleeping[i]),
-            t_wu=float(self.t_wu[i]),
-            t_pd=float(self.t_pd[i]),
-            i_wu=float(self.i_wu[i]),
-            i_pd=float(self.i_pd[i]),
-        )
-
     # -- derived columns (SlotProblem property op order) --------------------
 
     @cached_property
@@ -158,22 +141,6 @@ class SlotSolutionColumns:
 
     def __len__(self) -> int:
         return len(self.if_idle)
-
-    def row(self, i: int) -> SlotSolution:
-        """Rebuild row ``i`` as a scalar :class:`SlotSolution`."""
-        return SlotSolution(
-            if_idle=float(self.if_idle[i]),
-            if_active=float(self.if_active[i]),
-            ifc_idle=float(self.ifc_idle[i]),
-            ifc_active=float(self.ifc_active[i]),
-            fuel=float(self.fuel[i]),
-            c_after_idle=float(self.c_after_idle[i]),
-            c_after_slot=float(self.c_after_slot[i]),
-            range_clamped=bool(self.range_clamped[i]),
-            capacity_limited=bool(self.capacity_limited[i]),
-            bled=float(self.bled[i]),
-            deficit=float(self.deficit[i]),
-        )
 
 
 def solve_slot_array(

@@ -148,7 +148,7 @@ def _group_key(task: UnitTask):
     """Batchable-group identity of a ``scenario``-kind task."""
     from ..runtime.cache import _canonical
 
-    return (_canonical(task.scenario), _canonical(dict(task.params)), task.fast)
+    return (_canonical(task.scenario), _canonical(dict(task.params)))
 
 
 def _policy_groups(tasks: list[UnitTask]) -> list[tuple[list[int], list[str]]]:
@@ -289,11 +289,7 @@ class _Runner:
                 t0 = time.perf_counter()
                 try:
                     out = simulate_batch(
-                        scenario,
-                        seeds,
-                        policies,
-                        fast=group[0].fast,
-                        workers=self.workers,
+                        scenario, seeds, policies, workers=self.workers
                     )
                 except AbortRun:
                     raise

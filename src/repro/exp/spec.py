@@ -19,7 +19,7 @@ parameters -- two experiments sharing a cell share the cached result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from ..errors import ConfigurationError
@@ -75,7 +75,6 @@ class UnitTask:
     seed: int
     policy: str | None
     params: tuple[tuple[str, Any], ...] = ()
-    fast: bool = False
 
     def param(self, name: str, default: Any = None) -> Any:
         """Look up one ablation-knob assignment."""
@@ -96,7 +95,6 @@ class UnitTask:
             "seed": self.seed,
             "policy": self.policy,
             "params": dict(self.params),
-            "fast": self.fast,
         }
 
     def cache_key(self, fingerprint: str | None = None) -> str:
@@ -138,8 +136,6 @@ class ExperimentSpec:
     ablations:
         ``((knob, (value, ...)), ...)`` -- the cross product of all
         knob value lists is expanded, slowest-varying first.
-    fast:
-        Route eligible cells through the vectorized kernel.
     """
 
     name: str
@@ -148,7 +144,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (2007,)
     policies: tuple[str, ...] = ()
     ablations: tuple[tuple[str, tuple], ...] = ()
-    fast: bool = False
     description: str = ""
     #: Free-form extra parameters forwarded to every unit task.
     extra: tuple[tuple[str, Any], ...] = ()
@@ -208,14 +203,20 @@ class ExperimentSpec:
             "seeds": list(self.seeds),
             "policies": list(self.policies),
             "ablations": [[knob, list(values)] for knob, values in self.ablations],
-            "fast": self.fast,
             "description": self.description,
             "extra": [list(pair) for pair in self.extra],
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output.
+
+        Raises :class:`~repro.errors.ConfigurationError` naming any key
+        that is not a spec field, rather than dropping it silently.
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown experiment spec keys {unknown}")
         return cls(
             name=data["name"],
             kind=data["kind"],
@@ -225,7 +226,6 @@ class ExperimentSpec:
             ablations=tuple(
                 (knob, tuple(values)) for knob, values in data.get("ablations", ())
             ),
-            fast=data.get("fast", False),
             description=data.get("description", ""),
             extra=tuple((k, v) for k, v in data.get("extra", ())),
         )
@@ -259,7 +259,6 @@ class ExperimentSpec:
                             seed=seed,
                             policy=policy,
                             params=params,
-                            fast=self.fast,
                         )
                     )
                     index += 1
@@ -283,7 +282,6 @@ def sweep_spec(
     values,
     seed: int = 2007,
     scenario=None,
-    fast: bool = False,
 ) -> ExperimentSpec:
     """Spec for one ablation sweep (see :data:`SWEEP_KINDS`)."""
     if sweep not in SWEEP_KINDS:
@@ -297,7 +295,6 @@ def sweep_spec(
         scenario=_scenario_field(scenario),
         seeds=(int(seed),),
         ablations=((knob, tuple(values)),),
-        fast=fast,
     )
 
 
@@ -315,7 +312,6 @@ def scenario_batch_spec(
     scenario,
     seeds,
     policies=(),
-    fast: bool = True,
 ) -> ExperimentSpec:
     """Spec for a (scenario x seeds x policies) Monte-Carlo batch."""
     return ExperimentSpec(
@@ -324,5 +320,4 @@ def scenario_batch_spec(
         scenario=_scenario_field(scenario),
         seeds=tuple(int(s) for s in seeds),
         policies=tuple(policies),
-        fast=fast,
     )

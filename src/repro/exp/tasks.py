@@ -116,7 +116,7 @@ def _scenario_cell(task: UnitTask) -> dict[str, float]:
 
     sc = resolve_scenario(task.scenario)
     policy = effective_policy(task)
-    out = simulate_batch(sc, [task.seed], [policy], fast=task.fast)
+    out = simulate_batch(sc, [task.seed], [policy])
     return result_metrics(out[task.seed][policy])
 
 
@@ -128,7 +128,7 @@ def _scenario_metrics_cell(task: UnitTask) -> dict[str, float]:
         raise ConfigurationError(
             "scenario-metrics tasks need a registered scenario name"
         )
-    return scenario_metrics(task.scenario, task.seed, fast=task.fast)
+    return scenario_metrics(task.scenario, task.seed)
 
 
 @task_kind("table2-metrics")
@@ -161,7 +161,7 @@ def _sweep_storage_point(task: UnitTask) -> dict[str, float]:
 
     trace, dev = _sweep_base(task)
     cap = float(_required_knob(task, "capacity"))
-    return _storage_capacity_point(trace, dev, cap, fast=task.fast)
+    return _storage_capacity_point(trace, dev, cap)
 
 
 @task_kind("sweep.beta")
@@ -169,9 +169,7 @@ def _sweep_beta_point(task: UnitTask) -> float:
     from ..analysis.sweep import _efficiency_slope_point
 
     trace, dev = _sweep_base(task)
-    return _efficiency_slope_point(
-        trace, dev, float(_required_knob(task, "beta")), fast=task.fast
-    )
+    return _efficiency_slope_point(trace, dev, float(_required_knob(task, "beta")))
 
 
 @task_kind("sweep.recharge")
@@ -180,7 +178,7 @@ def _sweep_recharge_point(task: UnitTask) -> float:
 
     trace, dev = _sweep_base(task)
     return _recharge_threshold_point(
-        trace, dev, float(_required_knob(task, "threshold")), fast=task.fast
+        trace, dev, float(_required_knob(task, "threshold"))
     )
 
 
@@ -189,6 +187,4 @@ def _sweep_predictor_point(task: UnitTask) -> float:
     from ..analysis.sweep import _predictor_point
 
     trace, dev = _sweep_base(task)
-    return _predictor_point(
-        trace, dev, str(_required_knob(task, "predictor")), fast=task.fast
-    )
+    return _predictor_point(trace, dev, str(_required_knob(task, "predictor")))

@@ -155,24 +155,19 @@ def table2_metrics(seed: int) -> dict[str, float]:
     return out
 
 
-def scenario_metrics(name: str, seed: int, fast: bool = False) -> dict[str, float]:
+def scenario_metrics(name: str, seed: int) -> dict[str, float]:
     """Run one registered scenario on one seed; returns its run metrics.
 
     Module-level (not a closure) so ``functools.partial(scenario_metrics,
     name)`` stays picklable for multi-process :func:`run_seeds` fan-out.
-    ``fast=True`` routes through :func:`repro.sim.vectorized.simulate_fast`
-    (identical metrics, array kernel when eligible).
+    Runs through :func:`repro.sim.vectorized.simulate_fast` (array kernel
+    when eligible, metrics equal to the scalar simulator's).
     """
     from ..scenario import get_scenario
-    from .slotsim import SlotSimulator
+    from .vectorized import simulate_fast
 
     sc = get_scenario(name)
-    if fast:
-        from .vectorized import simulate_fast
-
-        result = simulate_fast(sc.build_manager(), sc.build_trace(seed))
-    else:
-        result = SlotSimulator(sc.build_manager()).run(sc.build_trace(seed))
+    result = simulate_fast(sc.build_manager(), sc.build_trace(seed))
     return {
         "fuel": result.fuel,
         "load_charge": result.load_charge,

@@ -281,23 +281,14 @@ def simulate_policies(
     trace: LoadTrace,
     managers: list[PowerManager],
     record: bool = False,
-    fast: bool = False,
 ) -> dict[str, SimulationResult]:
     """Run several manager configurations over the same trace.
 
-    With ``fast=True`` each manager goes through
-    :func:`repro.sim.vectorized.simulate_fast`, which uses the array
-    kernel when the configuration is eligible and silently falls back
-    to this scalar simulator otherwise -- the results are identical
-    either way.
+    Each manager goes through :func:`repro.sim.vectorized.simulate_fast`,
+    which uses the array kernel when the configuration is eligible and
+    falls back to this scalar simulator otherwise (``record=True`` among
+    them) -- the results equal a ``SlotSimulator`` run either way.
     """
-    results: dict[str, SimulationResult] = {}
-    if fast:
-        from .vectorized import simulate_fast
+    from .vectorized import simulate_fast
 
-        for mgr in managers:
-            results[mgr.name] = simulate_fast(mgr, trace, record=record)
-        return results
-    for mgr in managers:
-        results[mgr.name] = SlotSimulator(mgr, record=record).run(trace)
-    return results
+    return {mgr.name: simulate_fast(mgr, trace, record=record) for mgr in managers}

@@ -1515,7 +1515,6 @@ def _batch_shard_worker(
         payload["scenario"],
         seeds,
         payload["specs"],
-        fast=payload["fast"],
         traces=traces,
         max_deficit_fraction=payload["max_deficit_fraction"],
         workers=1,
@@ -1527,7 +1526,6 @@ def _simulate_batch_parallel(
     seed_list: list[int],
     specs: list[str],
     *,
-    fast: bool,
     traces: dict | None,
     max_deficit_fraction: float,
     workers: int,
@@ -1565,7 +1563,6 @@ def _simulate_batch_parallel(
         "scenario": scenario,
         "seeds": seed_list,
         "specs": specs,
-        "fast": fast,
         "max_deficit_fraction": max_deficit_fraction,
         "slots": store.handles["slots"],
     }
@@ -1587,7 +1584,6 @@ def simulate_batch(
     seeds,
     policies=None,
     *,
-    fast: bool = True,
     traces: dict | None = None,
     max_deficit_fraction: float = 0.05,
     workers: int | None = 1,
@@ -1604,16 +1600,6 @@ def simulate_batch(
     policies:
         Policy specs (see :func:`_policy_manager`); defaults to the
         scenario's own policy kind.
-    fast:
-        Route eligible runs through the array kernels (default).  A
-        multi-seed batch whose every spec is stacked-eligible runs as
-        one sweep of the stacked 2D kernel (:mod:`~repro.sim.stacked`);
-        a single seed, or a batch with an ineligible spec (counted per
-        spec under ``sim.batch_ineligible``), takes the per-seed loop,
-        which compiles one plan per seed and shares it across the
-        seed's eligible policies.  ``fast=False`` is the scalar
-        reference path (one ``SlotSimulator`` per run) used by the
-        equivalence tests.
     traces:
         Optional pre-built ``{seed: LoadTrace}``; seeds not present are
         generated from the scenario.  Lets callers amortize trace
@@ -1628,9 +1614,19 @@ def simulate_batch(
         columns ride shared memory to the workers, and each worker
         routes its shard exactly as an in-process batch would.
 
+    Routing is the code's choice, never the caller's.  A multi-seed
+    batch whose every spec is stacked-eligible runs as one sweep of the
+    stacked 2D kernel (:mod:`~repro.sim.stacked`).  A single seed, or a
+    batch with an ineligible spec (counted per spec under
+    ``sim.batch_ineligible``), takes the per-seed loop: it compiles one
+    plan per seed and shares it across the seed's kernel-eligible
+    policies, and runs the rest (see :func:`fast_path_ineligibility`)
+    on :class:`~repro.sim.slotsim.SlotSimulator`.
+
     Returns ``{seed: {policy_spec: SimulationResult}}``.  Results, and
-    the ``SimulationError`` a too-small plant raises, are identical
-    between ``fast=True`` and ``fast=False`` and at any worker count.
+    the ``SimulationError`` a too-small plant raises, equal a fresh
+    ``SlotSimulator`` run per (seed, policy), seed-major, at any worker
+    count.
     """
     from ..scenario import get_scenario
 
@@ -1666,7 +1662,6 @@ def simulate_batch(
                 scenario,
                 seed_list,
                 specs,
-                fast=fast,
                 traces=traces,
                 max_deficit_fraction=max_deficit_fraction,
                 workers=n_workers,
@@ -1686,7 +1681,7 @@ def simulate_batch(
         n_seeds=len(seed_list),
         n_policies=len(specs),
     ) as span:
-        if fast and len(seed_list) > 1:
+        if len(seed_list) > 1:
             # Stacked 2D route: one kernel sweep over the whole batch.
             # Imported lazily -- sim.stacked imports this module.
             from .stacked import (
@@ -1731,20 +1726,19 @@ def simulate_batch(
             per_policy: dict[str, SimulationResult] = {}
             plan: TraceArrays | None = None
             for spec in specs:
-                entry = cached.get(spec) if fast else None
+                entry = cached.get(spec)
                 if entry is None:
                     mgr = _policy_manager(scenario, spec)
                 else:
                     mgr, initial_charge = entry
                     mgr.reset(initial_charge)
-                reason = fast_path_ineligibility(mgr) if fast else "fast=False"
+                reason = fast_path_ineligibility(mgr)
                 if reason is not None:
                     if OBS.enabled:
                         OBS.metrics.counter("sim.route", path="scalar").inc()
-                        if fast:
-                            OBS.metrics.counter(
-                                "sim.fast_ineligible", reason=_reason_key(reason)
-                            ).inc()
+                        OBS.metrics.counter(
+                            "sim.fast_ineligible", reason=_reason_key(reason)
+                        ).inc()
                     per_policy[mgr.name] = SlotSimulator(
                         mgr, max_deficit_fraction=max_deficit_fraction
                     ).run(trace)

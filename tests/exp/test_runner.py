@@ -50,9 +50,7 @@ class TestEphemeralRun:
         run = run_experiment(spec)
         assert run.executed == 4 and run.failed == 0
         cells = ExperimentResults.from_run(run).by_cell()
-        direct = simulate_batch(
-            "exp2-fc-dpm", [0, 1], ["conv-dpm", "fc-dpm"], fast=True
-        )
+        direct = simulate_batch("exp2-fc-dpm", [0, 1], ["conv-dpm", "fc-dpm"])
         for seed in (0, 1):
             for policy in ("conv-dpm", "fc-dpm"):
                 assert cells[(seed, policy)] == result_metrics(

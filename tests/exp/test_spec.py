@@ -56,11 +56,17 @@ class TestIdentity:
             seeds=(0, 1, 2),
             policies=("conv-dpm", "fc-dpm"),
             ablations=(("capacity", (2.0, 6.0)),),
-            fast=True,
         )
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again == spec
         assert again.content_hash == spec.content_hash
+
+    def test_from_dict_rejects_unknown_keys(self):
+        data = ExperimentSpec(name="x", kind="scenario").to_dict()
+        data["fast"] = True
+        data["colour"] = "red"
+        with pytest.raises(ConfigurationError, match=r"\['colour', 'fast'\]"):
+            ExperimentSpec.from_dict(data)
 
     def test_hash_ignores_code_version(self, monkeypatch):
         # The content hash names the *experiment*, not the code: it must

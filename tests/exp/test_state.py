@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.exp import (
     ExperimentState,
     ExperimentStore,
+    run_experiment,
     scenario_batch_spec,
     validate_state_dict,
 )
@@ -87,6 +88,12 @@ class TestSchemaValidation:
         data["tasks"]["t00000"]["status"] = "paused"
         assert any("unknown status" in p for p in validate_state_dict(data))
 
+    def test_rejects_unknown_spec_key(self, spec):
+        data = ExperimentState.define(spec).to_dict()
+        data["spec"]["fast"] = True
+        problems = validate_state_dict(data)
+        assert any("round-trip" in p and "'fast'" in p for p in problems)
+
 
 class TestStore:
     def test_save_load_round_trip(self, store, spec):
@@ -116,6 +123,13 @@ class TestStore:
         assert store.names() == []
         store.define(spec)
         assert store.names() == ["demo"]
+
+    def test_refuses_to_resume_state_with_unknown_spec_key(self, store, spec):
+        data = store.define(spec).to_dict()
+        data["spec"]["fast"] = True
+        store.state_path(spec.name).write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="'fast'"):
+            run_experiment(spec.name, store=store)
 
     def test_atomic_save_leaves_no_temp_files(self, store, spec):
         store.define(spec)

@@ -37,6 +37,7 @@ from repro.scenario import get_scenario
 from repro.sim.slotsim import SlotSimulator
 from repro.sim.vectorized import _policy_manager, simulate_batch, simulate_fast
 from repro.workload.trace import LoadTrace, TaskSlot
+from tests.oracle import scalar_batch
 
 MODELS = [LinearSystemEfficiency(), ConstantSystemEfficiency()]
 
@@ -148,9 +149,6 @@ def _assert_bitwise_equal(problems, model):
         assert getattr(batch, name).tolist() == [
             getattr(s, name) for s in scalars
         ], name
-    # Row round-trip: batch.row(i) rebuilds the scalar SlotSolution.
-    for i, s in enumerate(scalars):
-        assert batch.row(i) == s
 
 
 class TestSolveSlotArrayBitExact:
@@ -163,13 +161,6 @@ class TestSolveSlotArrayBitExact:
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_every_field_constant(self, problems):
         _assert_bitwise_equal(problems, MODELS[1])
-
-    @given(problem=any_problem)
-    @settings(max_examples=200, deadline=None)
-    def test_problem_columns_round_trip(self, problem):
-        cols = SlotProblemColumns.from_problems([problem])
-        assert len(cols) == 1
-        assert cols.row(0) == problem
 
     def test_branch_coverage_sweep(self):
         """A deterministic sweep must reach (and match on) every branch."""
@@ -282,10 +273,10 @@ def _run_loop(scenario, seeds, policies, traces, run):
     return results, None, managers
 
 
-def _batch(scenario, seeds, policies, **kwargs):
-    """``(results, error)`` of one ``simulate_batch`` call."""
+def _batch(run, scenario, seeds, policies, **kwargs):
+    """``(results, error)`` of one batch call of ``run``."""
     try:
-        return simulate_batch(scenario, seeds, policies, **kwargs), None
+        return run(scenario, seeds, policies, **kwargs), None
     except SimulationError as exc:
         return None, (type(exc), str(exc))
 
@@ -302,7 +293,7 @@ def test_fc_stacked_matches_loop_every_field_and_end_state(traces):
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
     a, err_a = _batch(
-        sc, seeds, ["fc-dpm"], traces=built, max_deficit_fraction=1.0
+        simulate_batch, sc, seeds, ["fc-dpm"], traces=built, max_deficit_fraction=1.0
     )
     b, err_b, mgrs_b = _run_loop(
         sc, seeds, ["fc-dpm"], built,
@@ -337,9 +328,9 @@ def test_fc_stacked_mid_batch_raise_matches_loop(traces, raising_row):
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
     policies = ["fc-dpm", "static:0.4"]
-    a, err_a = _batch(sc, seeds, policies, traces=built)
+    a, err_a = _batch(simulate_batch, sc, seeds, policies, traces=built)
     b, err_b, _ = _run_loop(sc, seeds, policies, built, simulate_fast)
-    _, err_c = _batch(sc, seeds, policies, traces=built, fast=False)
+    _, err_c = _batch(scalar_batch, sc, seeds, policies, traces=built)
     assert err_a == err_b == err_c
     assert (a is None) == (b is None)
     if a is not None:

@@ -4,7 +4,7 @@ Three layers of the stacked route carry their own exactness contract:
 the batched clamp recurrence must equal the 1D recurrence per row, the
 batched predictor scan must equal the 1D scan per row, and the whole
 ``simulate_batch`` stacked route must equal the scalar oracle
-(``fast=False``) on every result field.  Hypothesis drives ragged shapes, clamp-dense
+(:func:`tests.oracle.scalar_batch`) on every result field.  Hypothesis drives ragged shapes, clamp-dense
 deltas, and degenerate rescan budgets at each layer; ``==`` is the only
 comparison -- a single differing bit fails.
 """
@@ -23,6 +23,7 @@ from repro.scenario import get_scenario
 from repro.sim.stacked import clamped_cumsum_batch
 from repro.sim.vectorized import clamped_cumsum, simulate_batch
 from repro.workload.trace import LoadTrace, TaskSlot
+from tests.oracle import scalar_batch
 
 ragged_rows = st.lists(
     st.lists(
@@ -128,10 +129,7 @@ def test_stacked_batch_matches_serial_loop(traces):
     a = simulate_batch(
         sc, seeds, policies, traces=built, max_deficit_fraction=1.0
     )
-    b = simulate_batch(
-        sc, seeds, policies, traces=built, fast=False,
-        max_deficit_fraction=1.0,
-    )
+    b = scalar_batch(sc, seeds, policies, traces=built, max_deficit_fraction=1.0)
     assert a.keys() == b.keys()
     for seed in seeds:
         for name in policies:

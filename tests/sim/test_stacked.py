@@ -31,6 +31,7 @@ from repro.sim.vectorized import (
     simulate_fast,
 )
 from repro.workload.trace import LoadTrace
+from tests.oracle import scalar_batch
 
 POLICIES = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
 
@@ -119,10 +120,10 @@ def _first_raise(scenario, seeds, policies, run):
     return None, None
 
 
-def _batch_error(scenario, seeds, policies, **kwargs):
-    """The ``(type, message)`` a batch raises, or None."""
+def _batch_error(run, scenario, seeds, policies, **kwargs):
+    """The ``(type, message)`` ``run`` raises on a batch, or None."""
     try:
-        simulate_batch(scenario, seeds, policies, **kwargs)
+        run(scenario, seeds, policies, **kwargs)
     except SimulationError as exc:
         return type(exc), str(exc)
     return None
@@ -153,7 +154,7 @@ class TestStackedEquivalence:
         sc = get_scenario("exp2-conv-dpm")
         seeds = [0, 1, 2]
         a = simulate_batch(sc, seeds, POLICIES)
-        b = simulate_batch(sc, seeds, POLICIES, fast=False)
+        b = scalar_batch(sc, seeds, POLICIES)
         _assert_batches_equal(a, b)
 
     def test_stacked_single_seed_matches_loop(self):
@@ -173,7 +174,7 @@ class TestStackedEquivalence:
         a = simulate_batch(sc, seeds, POLICIES, traces=traces)
         b = _fast_loop(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, b)
-        c = simulate_batch(sc, seeds, POLICIES, traces=traces, fast=False)
+        c = scalar_batch(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, c)
 
     def test_obs_enabled_route_stays_exact(self):
@@ -181,7 +182,7 @@ class TestStackedEquivalence:
         seeds = [0, 1, 2]
         with observing():
             a = simulate_batch(sc, seeds, POLICIES)
-            b = simulate_batch(sc, seeds, POLICIES, fast=False)
+            b = scalar_batch(sc, seeds, POLICIES)
         _assert_batches_equal(a, b)
 
 
@@ -209,9 +210,11 @@ class TestStackedDeficitRaise:
     )
     def test_raise_and_committed_state_match_loop(self, policies):
         sc, order, threshold = self._mid_batch_setup()
-        stacked = _batch_error(sc, order, policies, max_deficit_fraction=threshold)
+        stacked = _batch_error(
+            simulate_batch, sc, order, policies, max_deficit_fraction=threshold
+        )
         scalar = _batch_error(
-            sc, order, policies, max_deficit_fraction=threshold, fast=False
+            scalar_batch, sc, order, policies, max_deficit_fraction=threshold
         )
         loop, loop_mgr = _first_raise(
             sc, order, policies,
@@ -245,7 +248,7 @@ class TestBatchRouting:
         with observing() as obs:
             auto = simulate_batch("exp1-battery", seeds)
             snapshot = obs.metrics.snapshot()
-        scalar = simulate_batch("exp1-battery", seeds, fast=False)
+        scalar = scalar_batch("exp1-battery", seeds, None)
         _assert_batches_equal(auto, scalar)
         assert snapshot["sim.batch_route{path=loop}"]["value"] == 1
         assert snapshot["sim.batch_fallback_rows"]["value"] == len(seeds)

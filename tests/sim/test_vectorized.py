@@ -22,6 +22,7 @@ from repro.sim.vectorized import (
     simulate_fast,
 )
 from repro.workload.mpeg import generate_mpeg_trace
+from tests.oracle import scalar_batch
 
 
 def _source_state(mgr):
@@ -42,7 +43,7 @@ def _source_state(mgr):
 
 
 def _run_both(name: str, seed: int):
-    """(scalar outcome, fast outcome) for one registry scenario.
+    """(scalar outcome, ``simulate_fast`` outcome) for one registry scenario.
 
     Each outcome is either ``("ok", result, end_state)`` or
     ``("err", type, message)`` -- raising configurations must raise
@@ -50,14 +51,11 @@ def _run_both(name: str, seed: int):
     """
     sc = get_scenario(name)
     outcomes = []
-    for fast in (False, True):
+    for run in (lambda m, t: SlotSimulator(m).run(t), simulate_fast):
         mgr = sc.build_manager()
         trace = sc.build_trace(seed)
         try:
-            if fast:
-                result = simulate_fast(mgr, trace)
-            else:
-                result = SlotSimulator(mgr).run(trace)
+            result = run(mgr, trace)
         except SimulationError as exc:
             outcomes.append(("err", type(exc), str(exc)))
         else:
@@ -69,8 +67,8 @@ class TestRegistryEquivalence:
     @pytest.mark.parametrize("name", scenario_names())
     @pytest.mark.parametrize("seed", [0, 2007])
     def test_every_scenario_matches_scalar(self, name, seed):
-        scalar, fast = _run_both(name, seed)
-        assert fast == scalar
+        scalar, kernel = _run_both(name, seed)
+        assert kernel == scalar
 
     def test_static_controller_takes_fast_path(self):
         dev = camcorder_device_params()
@@ -212,9 +210,9 @@ class TestErrorParity:
         # static:0.4 undersupplies the Exp-1 load enough to trip the
         # 5% deficit guard; both paths must report it identically.
         excs = []
-        for fast in (False, True):
+        for run in (scalar_batch, simulate_batch):
             with pytest.raises(SimulationError) as exc:
-                simulate_batch("exp1-conv-dpm", [0], ["static:0.4"], fast=fast)
+                run("exp1-conv-dpm", [0], ["static:0.4"])
             excs.append((type(exc.value), str(exc.value)))
         assert excs[0] == excs[1]
 
@@ -256,50 +254,47 @@ class TestBatch:
         sc = get_scenario("exp1-conv-dpm")
         seeds = [0, 1, 2]
         policies = ["conv-dpm", "asap-dpm", "fc-dpm", "static:0.8"]
-        scalar = simulate_batch(sc, seeds, policies, fast=False)
-        fast = simulate_batch(sc, seeds, policies, fast=True)
-        assert fast == scalar
-        assert sorted(fast) == seeds
+        scalar = scalar_batch(sc, seeds, policies)
+        batch = simulate_batch(sc, seeds, policies)
+        assert batch == scalar
+        assert sorted(batch) == seeds
         for seed in seeds:
-            assert list(fast[seed]) == policies
-            for result in fast[seed].values():
+            assert list(batch[seed]) == policies
+            for result in batch[seed].values():
                 assert isinstance(result, SimulationResult)
 
     def test_parallel_workers_match_serial_and_leak_nothing(self, forced_pool):
         sc = get_scenario("exp1-conv-dpm")
         seeds = [0, 1, 2, 3]
         policies = ["conv-dpm", "asap-dpm", "fc-dpm", "static:0.8"]
-        serial = simulate_batch(sc, seeds, policies, fast=True, workers=1)
-        parallel = simulate_batch(sc, seeds, policies, fast=True, workers=2)
+        serial = simulate_batch(sc, seeds, policies, workers=1)
+        parallel = simulate_batch(sc, seeds, policies, workers=2)
         assert forced_pool == [2]
         assert parallel == serial
 
     @pytest.mark.parametrize(
-        "name, policies, fast, partial_traces",
+        "name, policies, partial_traces",
         [
             # Not stacked-eligible: every shard takes the per-seed loop.
-            ("exp1-battery", None, True, False),
+            ("exp1-battery", None, False),
             # Caller traces for some seeds, synthesis for the rest: the
             # coordinator gathers both into the shipped slot columns.
-            ("exp2-conv-dpm", ["conv-dpm", "fc-dpm"], True, True),
-            # The scalar oracle runs per shard too.
-            ("exp2-conv-dpm", ["asap-dpm", "fc-dpm"], False, False),
+            ("exp2-conv-dpm", ["conv-dpm", "fc-dpm"], True),
         ],
-        ids=["ineligible-spec", "partial-traces", "scalar-oracle"],
+        ids=["ineligible-spec", "partial-traces"],
     )
     def test_parallel_route_matches_serial(
-        self, forced_pool, name, policies, fast, partial_traces
+        self, forced_pool, name, policies, partial_traces
     ):
         sc = get_scenario(name)
         seeds = [3, 4, 5, 6, 7]
         traces = None
         if partial_traces:
             traces = {s: sc.build_trace(s + 100) for s in seeds[1:3]}
-        kwargs = {"fast": fast, "traces": traces}
-        serial = simulate_batch(sc, seeds, policies, workers=1, **kwargs)
-        parallel = simulate_batch(sc, seeds, policies, workers=2, **kwargs)
+        serial = simulate_batch(sc, seeds, policies, traces=traces, workers=1)
+        parallel = simulate_batch(sc, seeds, policies, traces=traces, workers=2)
         assert forced_pool == [2]
-        assert parallel == serial
+        assert parallel == serial == scalar_batch(sc, seeds, policies, traces=traces)
 
     def test_parallel_deficit_raise_matches_serial(self, forced_pool):
         # Order seeds by static:0.4's deficit ratio and set the guard

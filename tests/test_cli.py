@@ -107,31 +107,38 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "exp1-fc-dpm" in out
 
-    def test_run_trace_writes_validated_bundle(self, capsys, tmp_path):
+    def _traced_run(self, capsys, tmp_path, scenario):
+        """Run ``scenario`` with ``--trace``; return (manifest, span names)."""
+        import json
+
         from repro.obs import validate_trace_dir
 
         target = tmp_path / "trace-out"
-        assert (
-            main(["run", "--scenario", "exp1-conv-dpm", "--trace", str(target)])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert out.count("wrote") == 3
+        assert main(["run", "--scenario", scenario, "--trace", str(target)]) == 0
+        assert capsys.readouterr().out.count("wrote") == 3
         assert validate_trace_dir(target) == []
-        # The bundle carries real simulation spans plus the run manifest.
-        import json
-
         manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest["name"] == "run:exp1-conv-dpm"
-        assert manifest["route"] in ("fast", "scalar")
-        assert manifest["scenario"]["name"] == "exp1-conv-dpm"
+        assert manifest["name"] == f"run:{scenario}"
+        assert manifest["scenario"]["name"] == scenario
         spans = [
             json.loads(line)
             for line in (target / "spans.jsonl").read_text().splitlines()
         ]
-        names = {s["name"] for s in spans if s.get("type") == "span"}
-        # The default (non --fast) traced run drives the scalar
-        # simulator, which emits per-slot spans under the run root.
+        return manifest, {s["name"] for s in spans if s.get("type") == "span"}
+
+    def test_run_trace_writes_validated_bundle(self, capsys, tmp_path):
+        # Conv-DPM runs on the array kernel: one sim.simulate span under
+        # the run root, no per-slot spans.
+        manifest, names = self._traced_run(capsys, tmp_path, "exp1-conv-dpm")
+        assert manifest["route"] == "fast"
+        assert "run" in names and "sim.simulate" in names
+        assert "sim.slot" not in names
+
+    def test_run_trace_scalar_route_keeps_slot_spans(self, capsys, tmp_path):
+        # A battery-only source has no array kernel: the run falls back
+        # to the scalar simulator, which emits per-slot spans.
+        manifest, names = self._traced_run(capsys, tmp_path, "exp1-battery")
+        assert manifest["route"] == "scalar"
         assert "run" in names and "sim.slot" in names
 
     def test_trace_check_and_summary(self, capsys, tmp_path):
@@ -200,7 +207,7 @@ class TestExpCommand:
         assert main([
             "exp", "define", "demo", "--scenario", "exp2-fc-dpm",
             "--seeds", "0:2", "--policies", "conv-dpm,fc-dpm",
-            "--fast", "--state-dir", state_dir,
+            "--state-dir", state_dir,
         ]) == 0
         capsys.readouterr()
         return state_dir
@@ -257,7 +264,7 @@ class TestExpCommand:
         assert main([
             "exp", "define", "short", "--kind", "storage",
             "--scenario", "exp2-fc-dpm", "--seeds", "4",
-            "--ablate", "capacity=3,6", "--fast",
+            "--ablate", "capacity=3,6",
             "--state-dir", state_dir,
         ]) == 0
         assert "sweep.storage" in capsys.readouterr().out
@@ -289,7 +296,7 @@ class TestCacheCommand:
         state_dir = str(tmp_path / "experiments")
         main([
             "exp", "define", "c", "--scenario", "exp2-fc-dpm",
-            "--seeds", "0:2", "--fast", "--state-dir", state_dir,
+            "--seeds", "0:2", "--state-dir", state_dir,
         ])
         main(["exp", "run", "c", "--state-dir", state_dir])
         capsys.readouterr()
@@ -311,7 +318,7 @@ class TestLiveWatchCommands:
         assert main([
             "exp", "define", "live", "--scenario", "exp2-fc-dpm",
             "--seeds", "0:2", "--policies", "conv-dpm,fc-dpm",
-            "--fast", "--state-dir", state_dir,
+            "--state-dir", state_dir,
         ]) == 0
         argv = [
             "exp", "run", "live", "--live", "--live-interval", "0.2",
@@ -375,7 +382,7 @@ class TestLiveWatchCommands:
         assert main([
             "exp", "define", "bare", "--scenario", "exp2-fc-dpm",
             "--seeds", "0:2", "--policies", "conv-dpm",
-            "--fast", "--state-dir", state_dir,
+            "--state-dir", state_dir,
         ]) == 0
         capsys.readouterr()
         assert main([
