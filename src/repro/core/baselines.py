@@ -19,8 +19,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..fuelcell.efficiency import SystemEfficiencyModel
 
@@ -77,36 +75,6 @@ class SourceController(ABC):
     def __init__(self, model: SystemEfficiencyModel) -> None:
         self.model = model
 
-    @property
-    def is_trace_functional(self) -> bool:
-        """True when the vectorized fast path may replay this controller.
-
-        A trace-functional controller's output sequence is determined
-        by the planned segment timeline alone -- adaptive controllers
-        (FC-DPM's learning predictors, the stochastic and receding
-        variants) react to observed state and must return False, which
-        routes them to the scalar simulator
-        (:func:`repro.sim.vectorized.simulate_fast` then produces the
-        identical result, just without the array kernel).  The base
-        class is conservative: controllers opt in explicitly, and the
-        built-ins only opt in for their exact type -- a subclass that
-        overrides :meth:`output` loses the guarantee automatically.
-        """
-        return False
-
-    def output_array(self, plan):
-        """Closed-form vectorized output (A) per planned segment, or ``None``.
-
-        Optional acceleration hook for trace-functional controllers:
-        given a compiled :class:`repro.sim.vectorized.TraceArrays`
-        ``plan``, return one commanded output current per segment.  The
-        fast path does not fire the per-slot lifecycle callbacks around
-        a closed form (the built-ins' callbacks are no-ops).  Returning
-        ``None`` (the default) makes the fast path replay :meth:`output`
-        segment by segment instead -- still exact, just slower.
-        """
-        return None
-
     def start_run(self, storage_charge: float, storage_capacity: float) -> None:
         """Called once before the trace starts (records ``Cini(1)``)."""
 
@@ -131,14 +99,6 @@ class ConvDPMController(SourceController):
     without fuel flow control" -- the stack constantly sources the
     current corresponding to the highest load, ``Ifc = 1.3 A``.
     """
-
-    @property
-    def is_trace_functional(self) -> bool:
-        """Constant output; exact-type only (a subclass may adapt)."""
-        return type(self) is ConvDPMController
-
-    def output_array(self, plan):
-        return np.full(plan.n_segments, self.model.if_max)
 
     def output(self, ctx: SegmentContext) -> float:
         return self.model.if_max
@@ -174,19 +134,6 @@ class ASAPDPMController(SourceController):
         """True while the controller is in forced-recharge mode."""
         return self._recharging
 
-    @property
-    def is_trace_functional(self) -> bool:
-        """Kernel-eligible; exact-type only (a subclass may adapt).
-
-        ASAP-DPM is *not* literally trace-functional -- its recharge
-        hysteresis reads the storage state -- but the vectorized
-        simulator recognizes this exact type and plays the two-mode law
-        natively (a sequential pass over precomputed per-mode arrays),
-        so it advertises eligibility.  ``output_array`` stays None: the
-        closed form cannot exist without the storage trajectory.
-        """
-        return type(self) is ASAPDPMController
-
     def output(self, ctx: SegmentContext) -> float:
         if ctx.storage_capacity > 0:
             soc = ctx.storage_charge / ctx.storage_capacity
@@ -212,14 +159,6 @@ class StaticController(SourceController):
                 f"static output {i_f} A outside the load-following range"
             )
         self.i_f = i_f
-
-    @property
-    def is_trace_functional(self) -> bool:
-        """Constant output; exact-type only (a subclass may adapt)."""
-        return type(self) is StaticController
-
-    def output_array(self, plan):
-        return np.full(plan.n_segments, self.i_f)
 
     def output(self, ctx: SegmentContext) -> float:
         return self.i_f

@@ -124,28 +124,6 @@ class FCDPMController(SourceController):
 
     # -- SourceController protocol ------------------------------------------
 
-    @property
-    def is_trace_functional(self) -> bool:
-        """True when the adaptation is scan-compilable (exact types only).
-
-        FC-DPM is *not* a pure function of the trace -- each slot's
-        ``SlotProblem`` takes the live storage charge as ``c_ini`` --
-        but its only learned inputs (the Eq. 14/15 predictors and the
-        active-current running mean) depend on the trace alone, so the
-        vectorized kernel can precompute them with
-        :func:`~repro.prediction.exponential.exponential_average_scan`
-        and run a dedicated sequential pass that poses the exact same
-        problems (see ``sim.vectorized._run_fc``).  That requires the
-        paper's exponential-average predictors verbatim; any other
-        predictor (or a subclass of this controller or of the
-        predictor) routes to the scalar simulator.
-        """
-        return (
-            type(self) is FCDPMController
-            and type(self.idle_length_predictor) is ExponentialAveragePredictor
-            and type(self.active_length_predictor) is ExponentialAveragePredictor
-        )
-
     def start_run(self, storage_charge: float, storage_capacity: float) -> None:
         self._c_target = storage_charge
         self._c_max = storage_capacity

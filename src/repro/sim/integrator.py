@@ -10,7 +10,10 @@ re-implement the ledger math.  This module owns the single copy of
 * the segment layout rules (how an idle period decomposes into
   standby / power-down / sleep / wake-up segments, and how STANDBY<->RUN
   overheads are absorbed into the active period -- the timeline
-  convention documented in DESIGN.md), and
+  convention documented in DESIGN.md), once per slot for the scalar
+  simulators and once per slot *array* (:func:`plan_slot_arrays`) for
+  the kernels in :mod:`repro.sim.vectorized` / :mod:`repro.sim.stacked`,
+  and
 * the per-segment integration step (build the
   :class:`~repro.core.baselines.SegmentContext`, ask the controller for
   an output current, command the :class:`~repro.power.source.PowerSource`,
@@ -35,13 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..devices.device import DeviceParams
     from ..power.source import SourceStep
     from ..workload.trace import TaskSlot
-
-
-#: Integer codes for :class:`Segment` kinds, shared with the vectorized
-#: kernels (``repro.sim.vectorized`` / ``repro.sim.stacked``) so plan
-#: columns round-trip through shared memory without string arrays.
-KIND_CODES = {"standby": 0, "pd": 1, "sleep": 2, "wu": 3, "run": 4}
-KIND_NAMES = ("standby", "pd", "sleep", "wu", "run")
 
 
 class Segment(NamedTuple):
@@ -144,30 +140,24 @@ def plan_slot_arrays(
     i_active: np.ndarray,
     sleep: np.ndarray,
     sleep_after: np.ndarray,
-    *,
-    phase_context: bool = False,
-) -> dict[str, "np.ndarray | None"]:
+) -> dict[str, np.ndarray]:
     """Array-native segment layout: all slots at once, one device.
 
     The vectorized twin of :func:`plan_idle_segments` /
     :func:`plan_active_segments` -- the layout rules live here so the
     scalar planners above and every array planner stay single-sourced.
     Emits exactly the rows the scalar planners produce: per-slot segment
-    counts give the bounds by cumsum, each segment class (standby, pd,
-    sleep dwell, wu, run) scatters into its column positions with one
-    fancy assignment, and (when ``phase_context`` is set) the
-    phase-lookahead columns come from masked running sums replaying the
-    scalar's left-to-right accumulation order per slot, bit for bit.
+    counts give the bounds by cumsum, and each segment class (standby,
+    pd, sleep dwell, wu, run) scatters into its column positions with
+    one fancy assignment.
 
     The slots need not come from one trace: ``simulate_batch``'s stacked
     route concatenates every seed's slots and plans the whole batch in
     one call -- the layout is slot-local, so per-seed plans are slices
     of the returned columns.
 
-    Returns a dict with keys ``duration``, ``i_load``, ``kind``,
-    ``phase_duration``, ``phase_demand`` (``None`` unless
-    ``phase_context``), ``slot_bounds``, ``active_start``, ``slept``,
-    ``aborted``.
+    Returns a dict with keys ``duration``, ``i_load``, ``slot_bounds``,
+    ``active_start``, ``slept``, ``aborted``.
     """
     n_slots = t_idle.shape[0]
     if n_slots == 0:
@@ -175,9 +165,6 @@ def plan_slot_arrays(
         return {
             "duration": empty,
             "i_load": empty.copy(),
-            "kind": np.empty(0, dtype=np.int8),
-            "phase_duration": empty.copy() if phase_context else None,
-            "phase_demand": empty.copy() if phase_context else None,
             "slot_bounds": np.zeros(1, dtype=np.intp),
             "active_start": np.empty(0, dtype=np.intp),
             "slept": np.empty(0, dtype=bool),
@@ -204,80 +191,35 @@ def plan_slot_arrays(
 
     duration = np.empty(n_total, dtype=float)
     i_load = np.empty(n_total, dtype=float)
-    kind = np.empty(n_total, dtype=np.int8)
 
     standby = ~slept
     sb_idx = starts[standby]
     duration[sb_idx] = t_idle[standby]
     i_load[sb_idx] = device.i_sdb
-    kind[sb_idx] = KIND_CODES["standby"]
 
     sa_idx = starts[has_sa]
     duration[sa_idx] = sleep_after[has_sa]
     i_load[sa_idx] = device.i_sdb
-    kind[sa_idx] = KIND_CODES["standby"]
 
     pd_pos = starts + sa_off
     pd_idx = pd_pos[slept]
     duration[pd_idx] = device.t_pd
     i_load[pd_idx] = device.i_pd
-    kind[pd_idx] = KIND_CODES["pd"]
 
     dw_idx = (pd_pos + 1)[has_dwell]
     duration[dw_idx] = dwell[has_dwell]
     i_load[dw_idx] = device.i_slp
-    kind[dw_idx] = KIND_CODES["sleep"]
 
-    wu_pos = active_start - 1
-    wu_idx = wu_pos[slept]
+    wu_idx = (active_start - 1)[slept]
     duration[wu_idx] = device.t_wu
     i_load[wu_idx] = device.i_wu
-    kind[wu_idx] = KIND_CODES["wu"]
 
-    run_dur = (device.t_sdb_to_run + t_active) + device.t_run_to_sdb
-    duration[active_start] = run_dur
+    duration[active_start] = (device.t_sdb_to_run + t_active) + device.t_run_to_sdb
     i_load[active_start] = i_active
-    kind[active_start] = KIND_CODES["run"]
-
-    phase_dur = phase_dem = None
-    if phase_context:
-        phase_dur = np.empty(n_total, dtype=float)
-        phase_dem = np.empty(n_total, dtype=float)
-        # Single-segment phases: the lookahead is the segment itself.
-        phase_dur[active_start] = run_dur
-        phase_dem[active_start] = run_dur * i_active
-        phase_dur[sb_idx] = t_idle[standby]
-        phase_dem[sb_idx] = t_idle[standby] * device.i_sdb
-        # Sleeping idle phases: masked running sums in component order
-        # reproduce each slot's sequential accumulation exactly (the
-        # fold only touches slots where the component is present, so
-        # every per-slot partial matches the scalar's += sequence).
-        components = (
-            (has_sa, sleep_after, device.i_sdb, starts),
-            (slept, device.t_pd, device.i_pd, pd_pos),
-            (has_dwell, dwell, device.i_slp, pd_pos + 1),
-            (slept, device.t_wu, device.i_wu, wu_pos),
-        )
-        total_d = 0.0
-        total_q = 0.0
-        for present, dur_c, load_c, _ in components:
-            total_d = np.where(present, total_d + dur_c, total_d)
-            total_q = np.where(present, total_q + dur_c * load_c, total_q)
-        remaining = total_d
-        demand = total_q
-        for present, dur_c, load_c, positions in components:
-            idx = positions[present]
-            phase_dur[idx] = remaining[present]
-            phase_dem[idx] = demand[present]
-            remaining = np.where(present, remaining - dur_c, remaining)
-            demand = np.where(present, demand - load_c * dur_c, demand)
 
     return {
         "duration": duration,
         "i_load": i_load,
-        "kind": kind,
-        "phase_duration": phase_dur,
-        "phase_demand": phase_dem,
         "slot_bounds": slot_bounds,
         "active_start": active_start,
         "slept": slept,

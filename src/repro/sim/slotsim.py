@@ -106,6 +106,23 @@ class SimulationResult:
         return self.delivered_charge / self.fuel  # both at 12 V & zeta folded
 
 
+def check_run_limits(
+    max_deficit_fraction: float, max_segment: float | None = None
+) -> None:
+    """Validate the deficit guard and re-decision period of a run.
+
+    Written as ``not (x >= 0)`` / ``not (x > 0)`` so NaN fails too: a
+    NaN guard would silently never fire, and a NaN period would crash
+    deep in the segment chunking.
+    """
+    if not max_deficit_fraction >= 0:
+        raise SimulationError(
+            f"max_deficit_fraction must be >= 0, got {max_deficit_fraction!r}"
+        )
+    if max_segment is not None and not max_segment > 0:
+        raise SimulationError(f"max_segment must be positive, got {max_segment!r}")
+
+
 class SlotSimulator:
     """Runs task-slot traces against a power-manager configuration.
 
@@ -138,10 +155,7 @@ class SlotSimulator:
         max_deficit_fraction: float = 0.05,
         max_segment: float | None = None,
     ) -> None:
-        if max_deficit_fraction < 0:
-            raise SimulationError("max_deficit_fraction cannot be negative")
-        if max_segment is not None and max_segment <= 0:
-            raise SimulationError("max_segment must be positive")
+        check_run_limits(max_deficit_fraction, max_segment)
         self.manager = manager
         self.record = record
         self.max_deficit_fraction = max_deficit_fraction

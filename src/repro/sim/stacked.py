@@ -1,12 +1,14 @@
 """Stacked batch kernel: one 2D sweep across a whole multi-seed batch.
 
-``simulate_batch``'s serial loop runs the 1D array kernel once per
+``simulate_batch``'s serial loop calls ``simulate_fast`` once per
 (seed, policy).  For fleet-scale sweeps the per-seed work is itself
 mostly vectorizable *across seeds*: every row of the batch shares the
 device, the plant, and the policy configuration, differing only in its
 trace.  This module packs the per-seed plans into padded 2D arrays
-(``seeds x segments``, zero padding for ragged rows) and runs the
-trace-functional policies in single vectorized sweeps:
+(``seeds x segments``, zero padding for ragged rows) and runs each
+controller type of the kernel table
+(``repro.sim.vectorized._KERNEL_CONTROLLERS``) in single vectorized
+sweeps:
 
 - :func:`clamped_cumsum_batch` replays the
   :meth:`~repro.power.storage.ChargeStorage` clamp / bleed / deficit
@@ -57,7 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.baselines import ASAPDPMController, ConvDPMController, StaticController
+from ..core.baselines import ASAPDPMController
 from ..core.fc_dpm import FCDPMController
 from ..core.optimizer_array import SlotProblemColumns, solve_slot_array
 from ..dpm.predictive import PredictiveShutdownPolicy
@@ -72,9 +74,11 @@ from .slotsim import SimulationResult, SlotResult
 from .vectorized import (
     _MAX_RESCANS,
     TraceArrays,
+    _constant_command,
     _fc_scan_seeds,
     _fuel_currents,
     _realize_commands,
+    _realize_constant,
     _reason_key,
     _storage_deltas,
     fast_path_ineligibility,
@@ -84,23 +88,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
     from ..scenario.spec import Scenario
 
-#: Controller types with a stacked (2D) kernel pass.  Exact types on
-#: purpose, like the 1D eligibility checks: a subclass may override any
-#: semantics the pass replicates.
-_STACKED_CONTROLLERS = (
-    ConvDPMController,
-    StaticController,
-    ASAPDPMController,
-    FCDPMController,
-)
-
 #: Ineligibility reason prefixes specific to the stacked route, mapped
 #: to the ``sim.batch_ineligible{reason=...}`` metric labels.  Reasons
 #: inherited from the 1D fast path keep their ``sim.fast_ineligible``
 #: slugs (see ``vectorized._REASON_KEYS``).
 _STACKED_REASON_KEYS = (
     ("finite fuel tank", "stacked-finite-tank"),
-    ("controller", "stacked-controller"),
     ("policy", "stacked-policy"),
 )
 
@@ -117,9 +110,10 @@ def stacked_batch_ineligibility(manager: "PowerManager") -> str | None:
     """Why this spec cannot ride the stacked batch kernel (None = it can).
 
     Strictly stronger than :func:`~repro.sim.vectorized
-    .fast_path_ineligibility`: the stacked passes additionally require a
-    bottomless fuel tank (there is no per-row mid-run depletion
-    fallback), a controller with a 2D pass, and a device policy whose
+    .fast_path_ineligibility`, whose exact-type controller table covers
+    both kernels (every controller with a 1D pass has a 2D pass): the
+    stacked passes additionally require a bottomless fuel tank (there is
+    no per-row mid-run depletion fallback) and a device policy whose
     sleep decisions compile to the batched predictor scan.
     """
     reason = fast_path_ineligibility(manager)
@@ -130,11 +124,6 @@ def stacked_batch_ineligibility(manager: "PowerManager") -> str | None:
         return (
             "finite fuel tank (stacked passes have no per-row "
             "depletion fallback)"
-        )
-    if type(manager.controller) not in _STACKED_CONTROLLERS:
-        return (
-            f"controller {type(manager.controller).__name__} has no "
-            "stacked batch pass"
         )
     policy = manager.policy
     if type(policy) is not PredictiveShutdownPolicy or type(
@@ -413,24 +402,16 @@ class _StackedRun:
     const_i_f: float | None = None
 
 
-def _run_const_stacked(
-    manager: "PowerManager", sp: StackedPlans, cmd0: float
-) -> _StackedRun:
+def _run_const_stacked(manager: "PowerManager", sp: StackedPlans) -> _StackedRun:
     """Stacked pass for constant-command controllers (conv-dpm, static).
 
-    Exactly ``_run_from_plan``'s constant branch, broadcast across rows:
-    one realize + fuel-map evaluation, elementwise deltas, and the
-    batched storage recurrence.
+    Exactly ``_run_from_plan``, broadcast across rows: one realize +
+    fuel-map evaluation, elementwise deltas, and the batched storage
+    recurrence.
     """
     source = manager.source
-    fc = source.fc
     storage = source.storage
-    model = fc.model
-    if fc.allow_zero_output and cmd0 == 0.0:
-        r0 = 0.0
-    else:
-        r0 = min(max(cmd0, model.if_min), model.if_max)
-    i_fc = 0.0 if r0 == 0.0 else model.fc_current(r0)
+    r0, i_fc = _realize_constant(source.fc, _constant_command(manager.controller))
     fuel_flat = i_fc * sp.flat.duration
     delivered_flat = r0 * sp.flat.duration
     deltas = _storage_deltas(storage, r0, sp.i_load, sp.duration)
@@ -478,12 +459,7 @@ def _run_asap_stacked(manager: "PowerManager", sp: StackedPlans) -> _StackedRun:
     real_follow2d = _pad_rows(real_follow, sp.valid_seg)
     delta_follow2d = _storage_deltas(storage, real_follow2d, sp.i_load, sp.duration)
 
-    cmd_re = model.if_max
-    if cmd_re == 0.0 and fc.allow_zero_output:
-        real_re = 0.0
-    else:
-        real_re = min(max(cmd_re, model.if_min), model.if_max)
-    ifc_re = 0.0 if real_re == 0.0 else model.fc_current(real_re)
+    real_re, ifc_re = _realize_constant(fc, model.if_max)
     fuel_re = ifc_re * flat.duration
     delta_re2d = _storage_deltas(storage, real_re, sp.i_load, sp.duration)
 
@@ -819,7 +795,6 @@ def simulate_batch_stacked(
             slots.i_active,
             sleep_flat,
             np.zeros(sleep_flat.shape[0]),
-            phase_context=False,
         )
     )
     sp = _stack_from_flat(flat, slots.counts)
@@ -892,12 +867,7 @@ def simulate_batch_stacked(
                 mgr, sp, slots, seeds0, idle_preds, active_preds
             )
         else:
-            cmd0 = (
-                controller.model.if_max
-                if ctype is ConvDPMController
-                else controller.i_f
-            )
-            runs[spec] = _run_const_stacked(mgr, sp, float(cmd0))
+            runs[spec] = _run_const_stacked(mgr, sp)
 
     # Finish each run's assembly columns (totals + slot gathers,
     # per-slot columns converted to Python lists whole).

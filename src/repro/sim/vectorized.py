@@ -9,8 +9,8 @@ segments (Eqs. 3-4), a clamped cumulative sum for the storage, and
 per-slot reductions -- which is what this module does:
 
 1. :func:`plan_trace_arrays` compiles a trace into structure-of-arrays
-   form, reusing :func:`~repro.sim.integrator.plan_idle_segments` /
-   :func:`~repro.sim.integrator.plan_active_segments` so the timeline
+   form through :func:`~repro.sim.integrator.plan_slot_arrays`, the
+   array twin of the scalar segment planners, so the timeline
    convention stays single-sourced;
 2. :meth:`~repro.fuelcell.efficiency.SystemEfficiencyModel.fuel_map_array`
    evaluates the fuel map over the whole command array at once;
@@ -27,23 +27,28 @@ per-slot reductions -- which is what this module does:
 
 Eligibility is conservative: the kernel runs only for the reference
 hybrid plant (``HybridPowerSource`` + ``FCSystem`` + supercap/ideal
-storage) under a *trace-functional* controller
-(:attr:`~repro.core.baselines.SourceController.is_trace_functional`).
-Two adaptive controllers get dedicated native passes: ASAP-DPM's
-storage-coupled recharge hysteresis plays out over precomputed per-mode
-arrays, and FC-DPM's learned inputs (the Eq. 14/15 exponential filters
-and the active-current running mean) are scan-compiled up front so only
-the storage-coupled slot solves run sequentially (:func:`_run_fc`).
-Everything else -- other adaptive controllers, exotic plants, recording
-runs, manual ``record_history`` -- falls back to the scalar
-:class:`~repro.sim.slotsim.SlotSimulator`: never a wrong answer, only a
-slower one.
+storage) under one of the controller types in
+``_KERNEL_CONTROLLERS``, each of which has a dedicated pass.
+Conv-DPM and the static sweep instrument hold one constant command
+(:func:`_run_from_plan`); ASAP-DPM's storage-coupled recharge
+hysteresis plays out over precomputed per-mode arrays
+(:func:`_run_asap`); FC-DPM's learned inputs (the Eq. 14/15
+exponential filters and the active-current running mean) are
+scan-compiled up front so only the storage-coupled slot solves run
+sequentially (:func:`_run_fc`).  Everything else -- any other
+controller type (subclasses included), exotic plants, recording runs,
+manual ``record_history``, ``max_segment`` re-decision chunking -- falls
+back to the scalar :class:`~repro.sim.slotsim.SlotSimulator`: never a
+wrong answer, only a slower one.
 
-:func:`simulate_batch` additionally fans seeds out across processes
-(``workers=``): the coordinator gathers every seed's slot columns once,
-ships them through ``multiprocessing.shared_memory``
-(:mod:`repro.runtime.shm`), and each worker runs the in-process router
-on one contiguous row shard.
+:func:`simulate_batch` runs a multi-seed batch whose every policy is
+stacked-eligible as one 2D sweep (:mod:`repro.sim.stacked`); anything
+else is a per-(seed, policy) loop of :func:`simulate_fast` calls, so the
+eligibility checks and the scalar fallbacks above exist once.  It also
+fans seeds out across processes (``workers=``): the coordinator gathers
+every seed's slot columns once, ships them through
+``multiprocessing.shared_memory`` (:mod:`repro.runtime.shm`), and each
+worker runs the in-process router on one contiguous row shard.
 """
 
 from __future__ import annotations
@@ -57,13 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.baselines import (
-    ASAPDPMController,
-    SegmentContext,
-    SlotActuals,
-    SlotStart,
-    StaticController,
-)
+from ..core.baselines import ASAPDPMController, ConvDPMController, StaticController
 from ..core.fc_dpm import FCDPMController
 from ..core.setting import SlotProblem
 from ..dpm.predictive import PredictiveShutdownPolicy
@@ -74,30 +73,21 @@ from ..fuelcell.system import FCSystem
 from ..obs import OBS
 from ..power.hybrid import HybridPowerSource
 from ..power.storage import IdealStorage, SuperCapacitor
-from ..prediction.exponential import exponential_average_scan
+from ..prediction.exponential import (
+    ExponentialAveragePredictor,
+    exponential_average_scan,
+)
 from ..runtime.memo import solve_slot_memo
 from ..runtime.parallel import ParallelMap, _chunk_slices, get_shared, resolve_workers
 from ..runtime.shm import SharedArrayStore, attach_group
 from ..workload.trace import LoadTrace, TaskSlot
-from .integrator import (
-    KIND_CODES,
-    KIND_NAMES,
-    chunk_segments,
-    plan_active_segments,
-    plan_idle_segments,
-    plan_slot_arrays,
-)
-from .slotsim import SimulationResult, SlotResult, SlotSimulator
+from .integrator import plan_slot_arrays
+from .slotsim import SimulationResult, SlotResult, SlotSimulator, check_run_limits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
     from ..dpm.policy import DPMPolicy, IdleDecision
     from ..scenario.spec import Scenario
-
-#: Segment-kind encoding for the int8 ``TraceArrays.kind`` column
-#: (aliases of the single-sourced codes in :mod:`repro.sim.integrator`).
-_KIND_CODES = KIND_CODES
-_KIND_NAMES = KIND_NAMES
 
 #: After this many storage clamp events the kernel stops rescanning
 #: arrays and finishes the stretch with a compiled-float sequential
@@ -114,26 +104,17 @@ class TraceArrays:
     """A whole trace compiled to structure-of-arrays form.
 
     One row per executed segment, in execution order; slot boundaries
-    and the idle/active split are kept as index arrays so per-slot
-    reductions and the generic controller replay can address segments
-    without re-planning.
+    and the idle/active split are kept as index arrays so the kernel
+    passes and the per-slot reductions can address segments without
+    re-planning.  No pass reads a segment's kind or a remaining-phase
+    lookahead (FC-DPM sums its active phase inline, as ``run_phase``
+    does), so the plan carries neither.
     """
 
     #: Segment length (s), one per segment.
     duration: np.ndarray
     #: Load current (A), one per segment.
     i_load: np.ndarray
-    #: Kind code per segment (see ``_KIND_CODES``), int8.
-    kind: np.ndarray
-    #: Remaining phase duration *including* the segment (s) -- the
-    #: scalar ``SegmentContext.phase_duration`` lookahead.  ``None``
-    #: when compiled with ``phase_context=False`` (the fast path does
-    #: this: closed-form controllers never read it, and the generic
-    #: replay derives the exact values from ``duration`` on demand).
-    phase_duration: np.ndarray | None
-    #: Remaining phase load charge including the segment (A-s), or
-    #: ``None`` (see ``phase_duration``).
-    phase_demand: np.ndarray | None
     #: Segment index where each slot starts; length ``n_slots + 1``.
     slot_bounds: np.ndarray
     #: Segment index where each slot's active phase starts.
@@ -260,116 +241,21 @@ def replay_policy(policy: "DPMPolicy", trace: "LoadTrace") -> list["IdleDecision
     return decisions
 
 
-def plan_trace_arrays(
-    device,
-    trace: "LoadTrace",
-    decisions,
-    max_segment: float | None = None,
-    *,
-    phase_context: bool = True,
-) -> TraceArrays:
+def plan_trace_arrays(device, trace: "LoadTrace", decisions) -> TraceArrays:
     """Compile ``trace`` + per-slot ``decisions`` into :class:`TraceArrays`.
-
-    Reuses :func:`plan_idle_segments` / :func:`plan_active_segments` /
-    :func:`chunk_segments`, so the segment layout is the scalar
-    simulator's, row for row.  ``phase_context=False`` skips the
-    remaining-phase lookahead columns (``phase_duration`` /
-    ``phase_demand`` come back ``None``) -- the fast path uses this
-    because its closed-form controllers never read them and the generic
-    replay derives them on demand; the per-segment bookkeeping is a
-    measurable share of compile time.
-    """
-    slots = list(trace)
-    decisions = list(decisions)
-    if len(decisions) != len(slots):
-        raise ConfigurationError(
-            f"got {len(decisions)} decisions for {len(slots)} slots"
-        )
-    if max_segment is None:
-        return _plan_trace_arrays_numpy(device, slots, decisions, phase_context)
-    durations: list[float] = []
-    loads: list[float] = []
-    kinds: list[int] = []
-    phase_dur: list[float] = []
-    phase_dem: list[float] = []
-    slot_bounds = [0]
-    active_start: list[int] = []
-    slept_l: list[bool] = []
-    aborted_l: list[bool] = []
-    dur_append = durations.append
-    load_append = loads.append
-    kind_append = kinds.append
-    pdur_append = phase_dur.append
-    pdem_append = phase_dem.append
-    astart_append = active_start.append
-    bounds_append = slot_bounds.append
-    codes = _KIND_CODES
-
-    for slot, decision in zip(slots, decisions):
-        idle_segments, slept, aborted = plan_idle_segments(
-            device, slot.t_idle, decision.sleep, decision.sleep_after
-        )
-        slept_l.append(slept)
-        aborted_l.append(aborted)
-        active_segments = plan_active_segments(device, slot)
-        if max_segment is not None:
-            idle_segments = chunk_segments(idle_segments, max_segment)
-            active_segments = chunk_segments(active_segments, max_segment)
-        if phase_context:
-            for segments in (idle_segments, active_segments):
-                if segments is active_segments:
-                    astart_append(len(durations))
-                # Inlined phase_totals(): plain sequential accumulation,
-                # bit-identical to the sum() calls run_phase makes.
-                remaining = 0.0
-                demand = 0.0
-                for d, i_l, _ in segments:
-                    remaining += d
-                    demand += d * i_l
-                for d, i_l, kind in segments:
-                    dur_append(d)
-                    load_append(i_l)
-                    kind_append(codes[kind])
-                    pdur_append(remaining)
-                    pdem_append(demand)
-                    remaining -= d
-                    demand -= i_l * d
-        else:
-            for d, i_l, kind in idle_segments:
-                dur_append(d)
-                load_append(i_l)
-                kind_append(codes[kind])
-            astart_append(len(durations))
-            for d, i_l, kind in active_segments:
-                dur_append(d)
-                load_append(i_l)
-                kind_append(codes[kind])
-        bounds_append(len(durations))
-
-    return TraceArrays(
-        duration=np.asarray(durations, dtype=float),
-        i_load=np.asarray(loads, dtype=float),
-        kind=np.asarray(kinds, dtype=np.int8),
-        phase_duration=np.asarray(phase_dur, dtype=float) if phase_context else None,
-        phase_demand=np.asarray(phase_dem, dtype=float) if phase_context else None,
-        slot_bounds=np.asarray(slot_bounds, dtype=np.intp),
-        active_start=np.asarray(active_start, dtype=np.intp),
-        slept=np.asarray(slept_l, dtype=bool),
-        aborted=np.asarray(aborted_l, dtype=bool),
-    )
-
-
-def _plan_trace_arrays_numpy(
-    device, slots, decisions, phase_context: bool
-) -> TraceArrays:
-    """Array-native planner for the unchunked (``max_segment=None``) case.
 
     Extracts the slot/decision columns and hands them to
     :func:`repro.sim.integrator.plan_slot_arrays` -- the layout rules
-    stay single-sourced in :mod:`repro.sim.integrator` and the parity
-    tests enforce the row-for-row match with the scalar planners.
+    stay single-sourced in :mod:`repro.sim.integrator`, so the segment
+    layout is the scalar simulator's, row for row.
     """
+    slots = list(trace)
+    decisions = list(decisions)
     n_slots = len(slots)
+    if len(decisions) != n_slots:
+        raise ConfigurationError(
+            f"got {len(decisions)} decisions for {n_slots} slots"
+        )
     t_idle = np.array([s.t_idle for s in slots], dtype=float)
     t_active = np.array([s.t_active for s in slots], dtype=float)
     i_active = np.array([s.i_active for s in slots], dtype=float)
@@ -378,15 +264,7 @@ def _plan_trace_arrays_numpy(
         (d.sleep_after for d in decisions), dtype=float, count=n_slots
     )
     return TraceArrays(
-        **plan_slot_arrays(
-            device,
-            t_idle,
-            t_active,
-            i_active,
-            sleep,
-            sleep_after,
-            phase_context=phase_context,
-        )
+        **plan_slot_arrays(device, t_idle, t_active, i_active, sleep, sleep_after)
     )
 
 
@@ -529,6 +407,18 @@ def _storage_deltas(
 # -- eligibility -------------------------------------------------------------
 
 
+#: Controller types with a kernel pass (1D here, 2D in
+#: :mod:`repro.sim.stacked`).  Exact types on purpose: a subclass may
+#: override any of the semantics a pass replicates, so it routes to the
+#: scalar simulator.  A new controller gets kernel support by adding its
+#: type here together with a dedicated pass.
+_KERNEL_CONTROLLERS = (
+    ConvDPMController,
+    StaticController,
+    ASAPDPMController,
+    FCDPMController,
+)
+
 #: Human-readable ineligibility reasons mapped (by prefix) to the short
 #: label used on the ``sim.fast_ineligible{reason=...}`` counter.  The
 #: controller prefixes are ordered most-specific first: a scan-capable
@@ -543,6 +433,7 @@ _REASON_KEYS = (
     ("efficiency model", "model-clamp"),
     ("storage type", "storage-type"),
     ("source.record_history", "record-history"),
+    ("max_segment", "max-segment"),
     ("controller predictors", "controller-predictor"),
     ("controller/policy coupling", "controller-coupling"),
     ("controller", "controller-adaptive"),
@@ -583,18 +474,19 @@ def fast_path_ineligibility(
     if source.record_history:
         return "source.record_history is enabled"
     controller = manager.controller
-    if not controller.is_trace_functional:
-        if type(controller) is FCDPMController:
+    if type(controller) not in _KERNEL_CONTROLLERS:
+        return f"controller {type(controller).__name__} has no kernel pass"
+    if type(controller) is FCDPMController:
+        if (
+            type(controller.idle_length_predictor) is not ExponentialAveragePredictor
+            or type(controller.active_length_predictor)
+            is not ExponentialAveragePredictor
+        ):
             return (
                 "controller predictors are not scan-compilable "
                 "(FC-DPM's fast path needs exact "
-                "ExponentialAveragePredictor instances); "
-                "controller FCDPMController is not trace-functional"
+                "ExponentialAveragePredictor instances)"
             )
-        return (
-            f"controller {type(controller).__name__} is not trace-functional"
-        )
-    if type(controller) is FCDPMController:
         # The predictor scans assume each predictor sees exactly one
         # predict/observe pair per slot.  That holds for the standard
         # wirings -- the controller observing its own idle predictor,
@@ -658,122 +550,43 @@ class _KernelRun:
     const_i_f: float | None = None
 
 
-def _controller_commands(
-    manager: "PowerManager", plan: TraceArrays, trace: "LoadTrace"
-) -> np.ndarray:
-    """Commanded output current per segment for a trace-functional controller.
+def _constant_command(controller) -> float:
+    """The one command a constant-output controller (conv-dpm, static) holds."""
+    if type(controller) is ConvDPMController:
+        return float(controller.model.if_max)
+    return float(controller.i_f)
 
-    Prefers the controller's closed-form
-    :meth:`~repro.core.baselines.SourceController.output_array` hook;
-    otherwise replays :meth:`output` segment by segment with the scalar
-    call order (slot lifecycle callbacks included) and the storage
-    context fields poisoned to NaN -- a controller that claims to be
-    trace-functional but reads storage state produces NaN results
-    instead of silently wrong ones.
+
+def _realize_constant(fc: FCSystem, cmd: float) -> tuple[float, float]:
+    """``(realized output, fuel current)`` for one command, as the scalar.
+
+    The exact ``FCSystem.set_output(cmd, clamp=True)`` /
+    ``fc_current()`` expressions, evaluated once for a command every
+    segment shares.
     """
-    controller = manager.controller
-    commands = controller.output_array(plan)
-    if commands is not None:
-        return np.asarray(commands, dtype=float)
-    nan = float("nan")
-    device = manager.device
-    out = np.empty(plan.n_segments, dtype=float)
-    durations = plan.duration.tolist()
-    loads = plan.i_load.tolist()
-    kinds = plan.kind.tolist()
-    have_context = plan.phase_duration is not None
-    if have_context:
-        phase_dur = plan.phase_duration.tolist()
-        phase_dem = plan.phase_demand.tolist()
-    bounds = plan.slot_bounds.tolist()
-    astart = plan.active_start.tolist()
-    slept = plan.slept.tolist()
-    for s, slot in enumerate(trace):
-        controller.on_idle_start(
-            SlotStart(
-                slot_index=s,
-                sleeping=slept[s],
-                i_idle=device.i_slp if slept[s] else device.i_sdb,
-                storage_charge=nan,
-            )
-        )
-        for phase, lo, hi in (
-            ("idle", bounds[s], astart[s]),
-            ("active", astart[s], bounds[s + 1]),
-        ):
-            if not have_context:
-                # Derive the remaining-phase lookahead exactly as
-                # run_phase does: sequential sums over the phase.
-                remaining = 0.0
-                demand = 0.0
-                for k in range(lo, hi):
-                    remaining += durations[k]
-                    demand += durations[k] * loads[k]
-            for k in range(lo, hi):
-                if have_context:
-                    remaining = phase_dur[k]
-                    demand = phase_dem[k]
-                out[k] = controller.output(
-                    SegmentContext(
-                        slot_index=s,
-                        phase=phase,
-                        kind=_KIND_NAMES[kinds[k]],
-                        duration=durations[k],
-                        i_load=loads[k],
-                        storage_charge=nan,
-                        storage_capacity=nan,
-                        phase_duration=remaining,
-                        phase_demand=demand,
-                    )
-                )
-                if not have_context:
-                    remaining -= durations[k]
-                    demand -= loads[k] * durations[k]
-        controller.on_slot_end(
-            SlotActuals(
-                slot_index=s,
-                t_idle=slot.t_idle,
-                t_active=slot.t_active,
-                i_active=slot.i_active,
-            )
-        )
-    return out
+    model = fc.model
+    if fc.allow_zero_output and cmd == 0.0:
+        realized = 0.0
+    else:
+        realized = min(max(cmd, model.if_min), model.if_max)
+    return realized, 0.0 if realized == 0.0 else model.fc_current(realized)
 
 
-def _run_from_plan(
-    manager: "PowerManager", plan: TraceArrays, commands: np.ndarray
-) -> _KernelRun | None:
-    """Array pass for storage-independent command sequences.
+def _run_from_plan(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
+    """Array pass for constant-command controllers (conv-dpm, static).
 
-    Returns None when a finite fuel tank would deplete mid-run -- the
-    caller reruns the scalar path, which raises the exact
-    ``DepletedError`` at the exact segment.
+    Realizes and maps the one command with the exact scalar expressions,
+    then broadcasts it.  Returns None when a finite fuel tank would
+    deplete mid-run -- the caller reruns the scalar path, which raises
+    the exact ``DepletedError`` at the exact segment.
     """
     source = manager.source
     fc = source.fc
     storage = source.storage
-    n = plan.n_segments
-    const_i_f = None
-    if n and commands[0] == commands[-1] and not bool(np.any(commands != commands[0])):
-        # Constant command sequence (conv-dpm, static controllers):
-        # realize and map once with the exact scalar expressions, then
-        # broadcast.  A NaN-poisoned sequence never matches (NaN !=
-        # NaN) and keeps the elementwise path.
-        model = fc.model
-        cmd0 = float(commands[0])
-        if fc.allow_zero_output and cmd0 == 0.0:
-            r0 = 0.0
-        else:
-            r0 = min(max(cmd0, model.if_min), model.if_max)
-        const_i_f = r0
-        # Python floats, not np.full arrays: every downstream use is a
-        # broadcasting numpy expression, and a scalar broadcast is the
-        # identical elementwise operation without the allocation.
-        realized = r0
-        i_fc = 0.0 if r0 == 0.0 else model.fc_current(r0)
-    else:
-        realized = _realize_commands(fc, commands)
-        i_fc = _fuel_currents(fc, realized)
+    # Python floats, not np.full arrays: every downstream use is a
+    # broadcasting numpy expression, and a scalar broadcast is the
+    # identical elementwise operation without the allocation.
+    realized, i_fc = _realize_constant(fc, _constant_command(manager.controller))
     fuel = i_fc * plan.duration
     tank = fc.tank
     if math.isfinite(tank.capacity) and plan.n_segments:
@@ -789,9 +602,7 @@ def _run_from_plan(
         bled=storage.bled_charge,
         deficit=storage.deficit_charge,
     )
-    return _KernelRun(
-        realized, i_fc, fuel, charges, bled, deficit, None, const_i_f
-    )
+    return _KernelRun(realized, i_fc, fuel, charges, bled, deficit, None, realized)
 
 
 def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
@@ -816,12 +627,7 @@ def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
     fuel_follow = ifc_follow * plan.duration
     delta_follow = _storage_deltas(storage, real_follow, plan.i_load, plan.duration)
 
-    cmd_re = model.if_max
-    if cmd_re == 0.0 and fc.allow_zero_output:
-        real_re = 0.0
-    else:
-        real_re = min(max(cmd_re, model.if_min), model.if_max)
-    ifc_re = 0.0 if real_re == 0.0 else model.fc_current(real_re)
+    real_re, ifc_re = _realize_constant(fc, model.if_max)
     # Scalars broadcast through every expression below -- same
     # elementwise arithmetic as materialized np.full columns.
     fuel_re = ifc_re * plan.duration
@@ -1015,8 +821,8 @@ def _run_fc(
     i_slp = device.i_slp
 
     # The active-current running mean (i_est at slot k uses the sum over
-    # slots < k) is trace-functional: precompute the whole series with a
-    # seeded cumsum that replays the scalar ``+=`` fold bit for bit.
+    # slots < k) depends on the trace alone: precompute the whole series
+    # with a seeded cumsum that replays the scalar ``+=`` fold bit for bit.
     if n_slots:
         sums = _running_sums(acs, np.asarray(i_actives, dtype=float))
         acs_final = float(sums[-1])
@@ -1343,8 +1149,7 @@ def _simulate_fast_planned(
     elif controller_type is FCDPMController:
         run = _run_fc(manager, plan, trace, fc_seeds)
     else:
-        commands = _controller_commands(manager, plan, trace)
-        run = _run_from_plan(manager, plan, commands)
+        run = _run_from_plan(manager, plan)
     if run is None:
         return None
     return _assemble_result(manager, plan, run, max_deficit_fraction)
@@ -1366,16 +1171,16 @@ def simulate_fast(
     Returns a :class:`~repro.sim.slotsim.SimulationResult` equal (``==``,
     every field) to ``SlotSimulator(manager, ...).run(trace)`` and
     leaves the manager in the same end state.  Configurations the array
-    kernel cannot represent -- adaptive controllers, non-reference
-    plants, recording runs (see :func:`fast_path_ineligibility`) -- run
-    the scalar simulator transparently: never a wrong answer, only a
-    slower one.
+    kernel cannot represent -- controllers without a kernel pass,
+    non-reference plants, recording runs (see
+    :func:`fast_path_ineligibility`), and any ``max_segment``
+    re-decision chunking -- run the scalar simulator transparently:
+    never a wrong answer, only a slower one.
     """
-    if max_deficit_fraction < 0:
-        raise SimulationError("max_deficit_fraction cannot be negative")
-    if max_segment is not None and max_segment <= 0:
-        raise SimulationError("max_segment must be positive")
+    check_run_limits(max_deficit_fraction, max_segment)
     reason = fast_path_ineligibility(manager, record=record)
+    if reason is None and max_segment is not None:
+        reason = "max_segment chunking has no array kernel"
     if reason is not None:
         if OBS.enabled:
             OBS.metrics.counter("sim.route", path="scalar").inc()
@@ -1401,16 +1206,7 @@ def simulate_fast(
             snapshot = copy.deepcopy((manager.policy, manager.controller))
         fc_seeds = _fc_scan_seeds(manager)
         decisions = replay_policy(manager.policy, trace)
-        plan = plan_trace_arrays(
-            manager.device,
-            trace,
-            decisions,
-            max_segment=max_segment,
-            # The lookahead columns are only read by the generic replay,
-            # which derives them on demand; skipping them here keeps the
-            # compile step off the critical path's profile.
-            phase_context=False,
-        )
+        plan = plan_trace_arrays(manager.device, trace, decisions)
         result = _simulate_fast_planned(
             manager, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds
         )
@@ -1427,10 +1223,7 @@ def simulate_fast(
                 "sim.fast_ineligible", reason="tank-depleted"
             ).inc()
         return SlotSimulator(
-            manager,
-            record=record,
-            max_deficit_fraction=max_deficit_fraction,
-            max_segment=max_segment,
+            manager, max_deficit_fraction=max_deficit_fraction
         ).run(trace)
 
 
@@ -1618,10 +1411,10 @@ def simulate_batch(
     batch whose every spec is stacked-eligible runs as one sweep of the
     stacked 2D kernel (:mod:`~repro.sim.stacked`).  A single seed, or a
     batch with an ineligible spec (counted per spec under
-    ``sim.batch_ineligible``), takes the per-seed loop: it compiles one
-    plan per seed and shares it across the seed's kernel-eligible
-    policies, and runs the rest (see :func:`fast_path_ineligibility`)
-    on :class:`~repro.sim.slotsim.SlotSimulator`.
+    ``sim.batch_ineligible``), takes the per-seed loop: one
+    :func:`simulate_fast` call per (seed, policy) on a freshly built
+    manager, which picks the kernel or
+    :class:`~repro.sim.slotsim.SlotSimulator` for that cell.
 
     Returns ``{seed: {policy_spec: SimulationResult}}``.  Results, and
     the ``SimulationError`` a too-small plant raises, equal a fresh
@@ -1646,6 +1439,7 @@ def simulate_batch(
         raise ConfigurationError("simulate_batch needs at least one policy")
     for spec in specs:
         _parse_policy_spec(spec)
+    check_run_limits(max_deficit_fraction)
     n_workers = resolve_workers(workers)
     if n_workers > 1 and len(seed_list) > 1:
         with OBS.span(
@@ -1668,13 +1462,6 @@ def simulate_batch(
             )
 
     results: dict[int, dict[str, SimulationResult]] = {}
-    # Eligible managers are built once and reset() between seeds -- a
-    # reset manager is state-identical to a fresh build (ledgers, tank,
-    # storage level, policy/controller learning state), and rebuilding
-    # the whole plant per (seed, policy) is pure overhead in a sweep.
-    # Ineligible specs keep fresh builds: the scalar path mutates
-    # recorder/history state the kernel never touches.
-    cached: dict[str, tuple["PowerManager", float]] = {}
     with OBS.span(
         "sim.batch",
         scenario=scenario.name,
@@ -1723,63 +1510,14 @@ def simulate_batch(
             trace = None if traces is None else traces.get(seed)
             if trace is None:
                 trace = scenario.build_trace(seed)
-            per_policy: dict[str, SimulationResult] = {}
-            plan: TraceArrays | None = None
-            for spec in specs:
-                entry = cached.get(spec)
-                if entry is None:
-                    mgr = _policy_manager(scenario, spec)
-                else:
-                    mgr, initial_charge = entry
-                    mgr.reset(initial_charge)
-                reason = fast_path_ineligibility(mgr)
-                if reason is not None:
-                    if OBS.enabled:
-                        OBS.metrics.counter("sim.route", path="scalar").inc()
-                        OBS.metrics.counter(
-                            "sim.fast_ineligible", reason=_reason_key(reason)
-                        ).inc()
-                    per_policy[mgr.name] = SlotSimulator(
-                        mgr, max_deficit_fraction=max_deficit_fraction
-                    ).run(trace)
-                    continue
-                if entry is None:
-                    cached[spec] = (mgr, mgr.source.storage.charge)
-                # FC-DPM scan seeds must predate this manager's policy
-                # replay (the default wiring shares the idle predictor).
-                fc_seeds = _fc_scan_seeds(mgr)
-                if plan is None:
-                    # First eligible policy replays its (fresh) device-
-                    # side policy to compile the plan; later eligible
-                    # managers reuse it -- their own policy objects stay
-                    # fresh, an internal detail batch results never
-                    # observe.
-                    plan = plan_trace_arrays(
-                        mgr.device,
-                        trace,
-                        replay_policy(mgr.policy, trace),
-                        phase_context=False,
-                    )
-                result = _simulate_fast_planned(
-                    mgr, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds
+            results[seed] = {
+                spec: simulate_fast(
+                    _policy_manager(scenario, spec),
+                    trace,
+                    max_deficit_fraction=max_deficit_fraction,
                 )
-                if result is None:
-                    # Finite tank depleted mid-run: rerun a fresh manager
-                    # on the scalar path for the exact DepletedError
-                    # context.
-                    if OBS.enabled:
-                        OBS.metrics.counter("sim.route", path="scalar").inc()
-                        OBS.metrics.counter(
-                            "sim.fast_ineligible", reason="tank-depleted"
-                        ).inc()
-                    result = SlotSimulator(
-                        _policy_manager(scenario, spec),
-                        max_deficit_fraction=max_deficit_fraction,
-                    ).run(trace)
-                elif OBS.enabled:
-                    OBS.metrics.counter("sim.route", path="fast").inc()
-                per_policy[mgr.name] = result
-            results[seed] = per_policy
+                for spec in specs
+            }
             if OBS.enabled:
                 OBS.metrics.counter("sim.batch_rows_completed").inc()
     return results

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -43,6 +44,12 @@ class TaskSlot:
     i_active: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t_idle):
+            raise TraceError(f"non-finite t_idle: {self.t_idle}")
+        if not math.isfinite(self.t_active):
+            raise TraceError(f"non-finite t_active: {self.t_active}")
+        if not math.isfinite(self.i_active):
+            raise TraceError(f"non-finite i_active: {self.i_active}")
         if self.t_idle < 0:
             raise TraceError(f"negative idle length: {self.t_idle}")
         if self.t_active <= 0:
@@ -200,8 +207,8 @@ class LoadTrace(Sequence[TaskSlot]):
         for lineno, row in enumerate(rows[1:], start=2):
             try:
                 slots.append(TaskSlot(float(row[0]), float(row[1]), float(row[2])))
-            except (IndexError, ValueError) as exc:
-                raise TraceError(f"bad CSV row {lineno}: {row!r}") from exc
+            except (IndexError, ValueError, TraceError) as exc:
+                raise TraceError(f"bad CSV row {lineno}: {row!r} ({exc})") from exc
         return cls(slots, name=name)
 
     def to_json(self) -> str:
@@ -225,10 +232,12 @@ class LoadTrace(Sequence[TaskSlot]):
         """Parse a trace written by :meth:`to_json`."""
         try:
             doc = json.loads(text)
-            slots = [
-                TaskSlot(d["t_idle"], d["t_active"], d["i_active"])
-                for d in doc["slots"]
-            ]
+            slots = []
+            for index, d in enumerate(doc["slots"]):
+                try:
+                    slots.append(TaskSlot(d["t_idle"], d["t_active"], d["i_active"]))
+                except TraceError as exc:
+                    raise TraceError(f"bad trace JSON slot {index}: {exc}") from exc
             return cls(slots, name=doc.get("name", "json-trace"))
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise TraceError(f"malformed trace JSON: {exc}") from exc

@@ -306,14 +306,10 @@ class TestStackedTransport:
             mgr.reset(initial)
             trace = sc.build_trace(seed)
             row = replay_policy(mgr.policy, trace)
-            plans.append(
-                plan_trace_arrays(mgr.device, trace, row, phase_context=False)
-            )
+            plans.append(plan_trace_arrays(mgr.device, trace, row))
             slots.extend(trace)
             decisions.extend(row)
-        flat = plan_trace_arrays(
-            mgr.device, LoadTrace(slots), decisions, phase_context=False
-        )
+        flat = plan_trace_arrays(mgr.device, LoadTrace(slots), decisions)
         counts = np.array([p.n_slots for p in plans], dtype=np.intp)
         sp = _stack_from_flat(flat, counts)
         assert sp.n_rows == len(plans)

@@ -9,14 +9,17 @@ diverge.
 
 import pytest
 
-from repro.core.baselines import StaticController
+from repro.core.baselines import ConvDPMController, StaticController
 from repro.core.manager import PowerManager
+from repro.core.oracle_controller import OracleFCDPMController
+from repro.core.receding import RecedingHorizonController
 from repro.devices.camcorder import camcorder_device_params
 from repro.errors import ConfigurationError, DepletedError, SimulationError
 from repro.fuelcell.fuel import FuelTank, GibbsFuelModel
 from repro.scenario import get_scenario, scenario_names
 from repro.sim.slotsim import SimulationResult, SlotSimulator
 from repro.sim.vectorized import (
+    _reason_key,
     fast_path_ineligibility,
     simulate_batch,
     simulate_fast,
@@ -165,6 +168,86 @@ class TestRouting:
         assert replace(r_fast, recorder=None) == replace(r_scalar, recorder=None)
         assert r_fast.recorder is not None
         assert r_fast.recorder.samples == r_scalar.recorder.samples
+
+
+class _RelabelledConv(ConvDPMController):
+    """Conv-DPM with nothing overridden: still not an exact table type."""
+
+
+def _conv_subclass(dev, trace):
+    mgr = PowerManager.conv_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
+    mgr.controller = _RelabelledConv(mgr.controller.model)
+    return mgr
+
+
+def _oracle_fc_dpm(dev, trace):
+    mgr = PowerManager.fc_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
+    mgr.controller = OracleFCDPMController(mgr.controller.model, trace, device=dev)
+    return mgr
+
+
+def _receding_horizon(dev, trace):
+    mgr = PowerManager.fc_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
+    mgr.controller = RecedingHorizonController(mgr.controller.model, horizon=2)
+    return mgr
+
+
+class TestKernelControllerTable:
+    """Only the exact controller types with a kernel pass take the kernel."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_conv_subclass, _oracle_fc_dpm, _receding_horizon],
+        ids=["conv-subclass", "oracle-fc-dpm", "receding-horizon"],
+    )
+    def test_other_controller_types_route_scalar_exactly(self, build):
+        dev = camcorder_device_params()
+        trace = generate_mpeg_trace(duration_s=300.0, seed=11)
+        m_fast, m_scalar = build(dev, trace), build(dev, trace)
+        reason = fast_path_ineligibility(m_fast)
+        assert reason is not None
+        assert _reason_key(reason) == "controller-adaptive"
+        assert simulate_fast(m_fast, trace) == SlotSimulator(m_scalar).run(trace)
+        assert _source_state(m_fast) == _source_state(m_scalar)
+
+
+NAN = float("nan")
+
+
+class TestRunLimits:
+    """Guard parameters are validated at every entry point, NaN included."""
+
+    def test_slot_simulator_rejects_nan_deficit_fraction(self, managers):
+        with pytest.raises(SimulationError, match="max_deficit_fraction"):
+            SlotSimulator(managers[0], max_deficit_fraction=NAN)
+
+    def test_slot_simulator_rejects_nan_max_segment(self, managers):
+        with pytest.raises(SimulationError, match="max_segment"):
+            SlotSimulator(managers[0], max_segment=NAN)
+
+    def test_simulate_fast_rejects_nan_deficit_fraction(self, managers, small_trace):
+        with pytest.raises(SimulationError, match="max_deficit_fraction"):
+            simulate_fast(managers[0], small_trace, max_deficit_fraction=NAN)
+
+    def test_simulate_fast_rejects_nan_max_segment(self, managers, small_trace):
+        with pytest.raises(SimulationError, match="max_segment"):
+            simulate_fast(managers[0], small_trace, max_segment=NAN)
+
+    @pytest.mark.parametrize("mdf", [NAN, -0.1], ids=["nan", "negative"])
+    @pytest.mark.parametrize("seeds", [[1], [1, 2]], ids=["width-1", "width-2"])
+    def test_simulate_batch_rejects_bad_deficit_fraction(self, seeds, mdf):
+        # Width 1 takes the per-seed loop and width 2 the stacked route;
+        # both must refuse the guard before routing, not report a
+        # misleading deficit (negative) or run unguarded (NaN).
+        with pytest.raises(SimulationError, match="max_deficit_fraction"):
+            simulate_batch("exp1-conv-dpm", seeds, max_deficit_fraction=mdf)
+
+    def test_simulate_batch_checks_before_the_parallel_route(self, forced_pool):
+        with pytest.raises(SimulationError, match="max_deficit_fraction"):
+            simulate_batch(
+                "exp1-conv-dpm", [1, 2], max_deficit_fraction=NAN, workers=2
+            )
+        assert forced_pool == []
 
 
 class TestSolverCacheParity:

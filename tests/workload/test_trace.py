@@ -40,6 +40,13 @@ class TestTaskSlot:
     def test_zero_idle_allowed(self):
         assert TaskSlot(0.0, 3.0, 1.2).t_idle == 0.0
 
+    @pytest.mark.parametrize("field", ["t_idle", "t_active", "i_active"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_naming_the_field(self, field, value):
+        values = {"t_idle": 10.0, "t_active": 3.0, "i_active": 1.2, field: value}
+        with pytest.raises(TraceError, match=f"non-finite {field}"):
+            TaskSlot(**values)
+
 
 class TestLoadTrace:
     def test_sequence_protocol(self, trace):
@@ -120,6 +127,27 @@ class TestSerialization:
         text = trace.to_csv() + "not,a,number\n"
         with pytest.raises(TraceError):
             LoadTrace.from_csv(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_csv_non_finite_row_names_the_row(self, trace, cell):
+        # Header is line 1 and the fixture's slots are lines 2-4.
+        text = trace.to_csv() + f"10.0,{cell},1.2\n"
+        with pytest.raises(TraceError, match="bad CSV row 5.*non-finite t_active"):
+            LoadTrace.from_csv(text)
+
+    def test_csv_negative_row_names_the_row(self, trace):
+        text = trace.to_csv() + "-1.0,3.0,1.2\n"
+        with pytest.raises(TraceError, match="bad CSV row 5"):
+            LoadTrace.from_csv(text)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_json_non_finite_names_the_slot(self, trace, literal):
+        # The json module parses these literals; the third slot (index
+        # 2) is the only one with a 4.0 s active period.
+        text = trace.to_json().replace('"t_active": 4.0', f'"t_active": {literal}')
+        assert literal in text
+        with pytest.raises(TraceError, match="slot 2.*non-finite t_active"):
+            LoadTrace.from_json(text)
 
     def test_json_roundtrip(self, trace):
         back = LoadTrace.from_json(trace.to_json())
