@@ -385,9 +385,7 @@ def test_bench_vectorized_batch_stacked(emit, kernel_record):
     run the identical end-to-end sweep -- trace synthesis included,
     since batched synthesis is part of the stacked path -- over 1000
     seeds x 3 policies on exp2-conv-dpm, warm best-of, under the usual
-    exact-equality contract.  Gate: >= 3x; the marginal per-policy cost
-    is dominated by SlotResult assembly, a floor both routes share, so
-    single-policy sweeps ratio higher than multi-policy ones.
+    exact-equality contract.  Gate: >= 3x.
     """
     from repro.scenario import get_scenario
     from repro.sim.vectorized import simulate_batch

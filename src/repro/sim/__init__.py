@@ -15,7 +15,13 @@ from .metrics import (
     fuel_saving,
     compare,
 )
-from .slotsim import SlotSimulator, SimulationResult, SlotResult, simulate_policies
+from .slotsim import (
+    SlotColumns,
+    SlotSimulator,
+    SimulationResult,
+    SlotResult,
+    simulate_policies,
+)
 from .engine import Engine, Event
 from .eventsim import EventDrivenSimulator
 from .montecarlo import (
@@ -52,6 +58,7 @@ __all__ = [
     "SlotSimulator",
     "SimulationResult",
     "SlotResult",
+    "SlotColumns",
     "simulate_policies",
     "Engine",
     "Event",

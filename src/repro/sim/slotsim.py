@@ -21,8 +21,12 @@ this module only owns the closed-form slot scheduling.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat as _repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from ..core.baselines import SlotActuals, SlotStart
 from ..core.manager import PowerManager
@@ -42,9 +46,10 @@ from .recorder import Recorder
 class SlotResult(NamedTuple):
     """Outcome of one simulated task slot.
 
-    A ``NamedTuple`` (not a frozen dataclass) because one is created per
-    task slot on every run; tuple construction keeps the per-slot
-    bookkeeping cheap for both the scalar and the vectorized simulator.
+    A ``NamedTuple`` (not a frozen dataclass) because the scalar
+    simulator creates one per task slot on every run.  The array kernels
+    return :class:`SlotColumns` instead, which builds these rows only
+    when a caller reads them.
     """
 
     index: int
@@ -55,6 +60,80 @@ class SlotResult(NamedTuple):
     if_idle: float
     if_active: float
     storage_end: float
+
+
+class SlotColumns(Sequence):
+    """Read-only ``Sequence[SlotResult]`` over per-slot column arrays.
+
+    The array kernels compute every per-slot field as a column over a
+    whole batch.  A view holds those columns (``slept``,
+    ``aborted_sleep``, ``fuel``, ``load_charge``, ``if_idle``,
+    ``if_active``, ``storage_end``, in :class:`SlotResult` field order)
+    plus the ``[lo, hi)`` row range of one run, so a batch of runs
+    shares its columns instead of building one tuple per slot.  ``len``
+    is O(1); the first index or iteration builds the run's
+    ``SlotResult`` rows once through ``.tolist()`` (Python-native
+    ``int`` / ``bool`` / ``float`` values, exactly as the scalar
+    simulator reports them) and caches them.
+
+    ``==`` compares column by column against another view and row by row
+    against a ``list`` of ``SlotResult``, in either operand order, so a
+    kernel result equals a ``SlotSimulator`` result.  Pickling ships only
+    the view's own row range.  A view keeps its whole batch's columns
+    alive for as long as it is referenced.
+    """
+
+    __slots__ = ("_columns", "_lo", "_hi", "_rows")
+
+    def __init__(self, columns: tuple, lo: int, hi: int) -> None:
+        self._columns = columns
+        self._lo = lo
+        self._hi = hi
+        self._rows: list[SlotResult] | None = None
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def _materialize(self) -> list[SlotResult]:
+        rows = self._rows
+        if rows is None:
+            lo, hi = self._lo, self._hi
+            # tuple.__new__ directly: SlotResult._make adds a Python
+            # frame and a length check per row.  The zip of eight
+            # equal-length columns makes the arity right by construction.
+            rows = self._rows = list(
+                map(
+                    tuple.__new__,
+                    _repeat(SlotResult),
+                    zip(range(hi - lo), *(c[lo:hi].tolist() for c in self._columns)),
+                )
+            )
+        return rows
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SlotColumns):
+            if len(self) != len(other):
+                return False
+            return all(
+                np.array_equal(a[self._lo : self._hi], b[other._lo : other._hi])
+                for a, b in zip(self._columns, other._columns)
+            )
+        if isinstance(other, list):
+            return len(self) == len(other) and self._materialize() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SlotColumns(<{len(self)} slots>)"
+
+    def __reduce__(self):
+        lo, hi = self._lo, self._hi
+        return (SlotColumns, (tuple(c[lo:hi] for c in self._columns), 0, hi - lo))
 
 
 @dataclass
@@ -76,7 +155,9 @@ class SimulationResult:
     #: ``tau_WU``; DPM's energy/latency trade-off made explicit (the
     #: paper accounts the charge but not the delay).
     wakeup_latency: float = 0.0
-    slots: list[SlotResult] = field(default_factory=list)
+    #: Per-slot outcomes: a list from the scalar simulators, a lazy
+    #: :class:`SlotColumns` view from the array kernels (equal with ``==``).
+    slots: Sequence[SlotResult] = field(default_factory=list)
     recorder: Recorder | None = None
 
     @property

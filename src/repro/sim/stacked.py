@@ -41,9 +41,14 @@ only results, so no manager, controller or policy end state is
 committed here.  A caller who needs end state owns the manager and runs
 :func:`~repro.sim.vectorized.simulate_fast` on it.
 
+Results are lazy: each (row, policy) ``SimulationResult`` holds a
+:class:`~repro.sim.slotsim.SlotColumns` view of the batch's per-slot
+columns instead of one ``SlotResult`` tuple per slot.
+
 Telemetry: the stacked route runs with or without ``OBS`` enabled and
-reports batch-level attributes (rows, padded fraction, plan-stack
-seconds) on the ``sim.batch`` span plus ``sim.batch_*`` metrics.  The
+reports batch-level attributes (rows, padded fraction, and the
+plan-stack / passes / assemble stage seconds) on the ``sim.batch`` span
+plus ``sim.batch_*`` metrics.  The
 per-slot ``dpm.*`` counters of the sequential policy replay are *not*
 emitted on this route -- the batched decision scan never visits slots
 individually (see docs/observability.md).
@@ -54,7 +59,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import repeat as _repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,7 +74,7 @@ from ..prediction.exponential import (
     exponential_average_scan_batch,
 )
 from .integrator import plan_slot_arrays
-from .slotsim import SimulationResult, SlotResult
+from .slotsim import SimulationResult, SlotColumns
 from .vectorized import (
     _MAX_RESCANS,
     TraceArrays,
@@ -798,38 +802,8 @@ def simulate_batch_stacked(
         )
     )
     sp = _stack_from_flat(flat, slots.counts)
-    plan_seconds = time.perf_counter() - t_plan0
-
-    # Shared per-row reductions (policy-independent, zero-seeded --
-    # fresh managers start every ledger at 0.0).
-    dur_rows = _row_totals(flat.duration, sp)
-    load_seg = flat.load_charge_seg
-    load_rows = _row_totals(load_seg, sp)
-    slot_loads = _slot_sums_flat(sp, load_seg)
-    slot_row_idx = np.repeat(np.arange(rows_n), slots.counts)
-    sleeps_rows = np.bincount(
-        slot_row_idx, weights=flat.slept, minlength=rows_n
-    ).astype(np.intp)
-    aborted_rows = np.bincount(
-        slot_row_idx, weights=flat.aborted, minlength=rows_n
-    ).astype(np.intp)
-    # Flat gather indices: each slot's last charge column per row.
-    g_bounds = flat.slot_bounds
-    seg_base = np.repeat(sp.seg_offsets[:-1], slots.counts)
-    ends_local = g_bounds[1:] - seg_base
-    astart_local = flat.active_start - seg_base
-    charge_cols = sp.width + 1
-    flat_end_idx = slot_row_idx * charge_cols + ends_local
-
-    # Whole-batch Python lists, converted once: per-row list slices are
-    # pointer copies, far cheaper than one ndarray.tolist() per row.
-    counts_l = slots.counts.tolist()
-    slot_off_l = sp.slot_offsets.tolist()
-    slept_l = flat.slept.tolist()
-    aborted_l = flat.aborted.tolist()
-    slot_loads_l = slot_loads.tolist()
-    sleeps_l = sleeps_rows.tolist()
-    aborted_rows_l = aborted_rows.tolist()
+    t_passes0 = time.perf_counter()
+    plan_seconds = t_passes0 - t_plan0
 
     # Per-spec stacked passes.  FC-DPM batches its predictor scans and
     # then sweeps all rows in lockstep, one slot column per step.
@@ -868,28 +842,63 @@ def simulate_batch_stacked(
             )
         else:
             runs[spec] = _run_const_stacked(mgr, sp)
+    t_assemble0 = time.perf_counter()
+    passes_seconds = t_assemble0 - t_passes0
 
-    # Finish each run's assembly columns (totals + slot gathers,
-    # per-slot columns converted to Python lists whole).
-    finals: dict[str, dict] = {}
+    # Shared per-row reductions (policy-independent, zero-seeded --
+    # fresh managers start every ledger at 0.0).
+    dur_rows = _row_totals(flat.duration, sp).tolist()
+    load_seg = flat.load_charge_seg
+    load_rows = _row_totals(load_seg, sp).tolist()
+    slot_loads = _slot_sums_flat(sp, load_seg)
+    slot_row_idx = np.repeat(np.arange(rows_n), slots.counts)
+    sleeps_rows = np.bincount(
+        slot_row_idx, weights=flat.slept, minlength=rows_n
+    ).astype(np.intp).tolist()
+    aborted_rows = np.bincount(
+        slot_row_idx, weights=flat.aborted, minlength=rows_n
+    ).astype(np.intp).tolist()
+    # Flat gather indices: each slot's last charge column per row.
+    g_bounds = flat.slot_bounds
+    seg_base = np.repeat(sp.seg_offsets[:-1], slots.counts)
+    ends_local = g_bounds[1:] - seg_base
+    astart_local = flat.active_start - seg_base
+    flat_end_idx = slot_row_idx * (sp.width + 1) + ends_local
+
+    # One tuple of whole-batch slot columns per spec; every (row, spec)
+    # result views its row range of them (no per-slot objects).
+    columns: dict[str, tuple] = {}
     for spec, run in runs.items():
-        entry = {
-            "fuel_rows": _row_totals(run.fuel_flat, sp),
-            "delivered_rows": _row_totals(run.delivered_flat, sp),
-            "slot_fuel": _slot_sums_flat(sp, run.fuel_flat).tolist(),
-            "storage_end": run.charges.ravel()[flat_end_idx].tolist(),
-        }
-        if run.i_f_flat is not None:
+        if run.i_f_flat is None:
+            if_idle = if_active = np.full(flat.n_slots, run.const_i_f)
+        else:
             g_starts = g_bounds[:-1] - seg_base
-            entry["if_idle"] = np.where(
+            if_idle = np.where(
                 astart_local > g_starts,
                 run.i_f_flat[np.maximum(flat.active_start - 1, 0)],
                 0.0,
-            ).tolist()
-            entry["if_active"] = np.where(
+            )
+            if_active = np.where(
                 ends_local > astart_local, run.i_f_flat[g_bounds[1:] - 1], 0.0
-            ).tolist()
-        finals[spec] = entry
+            )
+        columns[spec] = (
+            flat.slept,
+            flat.aborted,
+            _slot_sums_flat(sp, run.fuel_flat),
+            slot_loads,
+            if_idle,
+            if_active,
+            run.charges.ravel()[flat_end_idx],
+        )
+    totals = {
+        spec: (
+            _row_totals(run.fuel_flat, sp).tolist(),
+            _row_totals(run.delivered_flat, sp).tolist(),
+            run.bled.tolist(),
+            run.deficit.tolist(),
+        )
+        for spec, run in runs.items()
+    }
 
     if OBS.enabled:
         OBS.metrics.counter("sim.route", path="fast").inc(rows_n * len(specs))
@@ -902,26 +911,28 @@ def simulate_batch_stacked(
             rows=rows_n,
             padded_fraction=round(padded, 4),
             plan_stack_seconds=round(plan_seconds, 6),
+            passes_seconds=round(passes_seconds, 6),
             fallback_rows=0,
         )
         if OBS.enabled:
             OBS.metrics.counter("sim.batch_route", path="stacked").inc()
             OBS.metrics.gauge("sim.batch_padded_fraction").set(padded)
             OBS.metrics.histogram("sim.batch_plan_stack_s").observe(plan_seconds)
+            OBS.metrics.histogram("sim.batch_passes_s").observe(passes_seconds)
 
     mdf = max_deficit_fraction
+    counts_l = slots.counts.tolist()
+    slot_off_l = sp.slot_offsets.tolist()
     results: dict[int, dict[str, SimulationResult]] = {}
     for r, seed in enumerate(seed_list):
         per_policy: dict[str, SimulationResult] = {}
         n_slots_r = counts_l[r]
         slo = slot_off_l[r]
-        shi = slo + n_slots_r
+        load_r = load_rows[r]
         for spec in specs:
             mgr = managers[spec]
-            run = runs[spec]
-            entry = finals[spec]
-            deficit_r = float(run.deficit[r])
-            load_r = float(load_rows[r])
+            fuel_rows, delivered_rows, bled_rows, deficit_rows = totals[spec]
+            deficit_r = deficit_rows[r]
             if deficit_r > load_r * mdf:
                 raise SimulationError(
                     f"{mgr.name}: storage deficit "
@@ -929,42 +940,25 @@ def simulate_batch_stacked(
                     f"{100 * mdf:.0f}% of load -- "
                     "the source is undersized for this workload"
                 )
-            if run.const_i_f is not None:
-                if_idle_l = [run.const_i_f] * n_slots_r
-                if_active_l = if_idle_l
-            else:
-                if_idle_l = entry["if_idle"][slo:shi]
-                if_active_l = entry["if_active"][slo:shi]
-            slot_results = list(
-                map(
-                    tuple.__new__,
-                    _repeat(SlotResult),
-                    zip(
-                        range(n_slots_r),
-                        slept_l[slo:shi],
-                        aborted_l[slo:shi],
-                        entry["slot_fuel"][slo:shi],
-                        slot_loads_l[slo:shi],
-                        if_idle_l,
-                        if_active_l,
-                        entry["storage_end"][slo:shi],
-                    ),
-                )
-            )
             per_policy[mgr.name] = SimulationResult(
                 name=mgr.name,
-                fuel=float(entry["fuel_rows"][r]),
+                fuel=fuel_rows[r],
                 load_charge=load_r,
-                delivered_charge=float(entry["delivered_rows"][r]),
-                duration=float(dur_rows[r]),
-                bled=float(run.bled[r]),
+                delivered_charge=delivered_rows[r],
+                duration=dur_rows[r],
+                bled=bled_rows[r],
                 deficit=deficit_r,
                 n_slots=n_slots_r,
-                n_sleeps=sleeps_l[r],
-                n_aborted_sleeps=aborted_rows_l[r],
-                wakeup_latency=sleeps_l[r] * mgr.device.t_wu,
-                slots=slot_results,
+                n_sleeps=sleeps_rows[r],
+                n_aborted_sleeps=aborted_rows[r],
+                wakeup_latency=sleeps_rows[r] * mgr.device.t_wu,
+                slots=SlotColumns(columns[spec], slo, slo + n_slots_r),
                 recorder=None,
             )
         results[seed] = per_policy
+    assemble_seconds = time.perf_counter() - t_assemble0
+    if span is not None:
+        span.set(assemble_seconds=round(assemble_seconds, 6))
+        if OBS.enabled:
+            OBS.metrics.histogram("sim.batch_assemble_s").observe(assemble_seconds)
     return results

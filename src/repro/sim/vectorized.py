@@ -57,7 +57,6 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat as _repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,7 +81,7 @@ from ..runtime.parallel import ParallelMap, _chunk_slices, get_shared, resolve_w
 from ..runtime.shm import SharedArrayStore, attach_group
 from ..workload.trace import LoadTrace, TaskSlot
 from .integrator import plan_slot_arrays
-from .slotsim import SimulationResult, SlotResult, SlotSimulator, check_run_limits
+from .slotsim import SimulationResult, SlotColumns, SlotSimulator, check_run_limits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
@@ -161,21 +160,6 @@ class TraceArrays:
     def slot_index(self) -> np.ndarray:
         """Owning slot of each segment (the ``np.add.at`` scatter index)."""
         return np.repeat(np.arange(self.n_slots), np.diff(self.slot_bounds))
-
-    @cached_property
-    def slept_list(self) -> list:
-        """``slept.tolist()``, shared by every policy run over this plan."""
-        return self.slept.tolist()
-
-    @cached_property
-    def aborted_list(self) -> list:
-        """``aborted.tolist()``, shared by every policy run over this plan."""
-        return self.aborted.tolist()
-
-    @cached_property
-    def slot_load_list(self) -> list:
-        """``slot_load_charge.tolist()``, shared across policy runs."""
-        return self.slot_load_charge.tolist()
 
     @cached_property
     def slot_starts(self) -> np.ndarray:
@@ -1041,46 +1025,34 @@ def _assemble_result(
     # equality on randomized traces.
     slot_fuel = _slot_sums(plan, run.fuel)
     if n == 0:
-        if_idle_l = [0.0] * n_slots
-        if_active_l = if_idle_l
+        if_idle = np.zeros(n_slots)
+        if_active = if_idle
     elif run.const_i_f is not None:
         # Idle and active phases are both non-empty by construction,
         # so a constant-output run reports that output everywhere.
-        if_idle_l = [run.const_i_f] * n_slots
-        if_active_l = if_idle_l
+        if_idle = np.full(n_slots, run.const_i_f)
+        if_active = if_idle
     else:
         # Idle phase is [start, astart), active is [astart, end); both
         # are non-empty by construction, but mirror the scalar's
         # "last executed segment, else 0.0" guards all the same.
-        if_idle_l = np.where(
-            astart > starts, run.i_f[np.maximum(astart - 1, 0)], 0.0
-        ).tolist()
-        if_active_l = np.where(ends > astart, run.i_f[ends - 1], 0.0).tolist()
-    storage_end = run.charges[ends]
-
+        if_idle = np.where(astart > starts, run.i_f[np.maximum(astart - 1, 0)], 0.0)
+        if_active = np.where(ends > astart, run.i_f[ends - 1], 0.0)
+    slots = SlotColumns(
+        (
+            plan.slept,
+            plan.aborted,
+            slot_fuel,
+            plan.slot_load_charge,
+            if_idle,
+            if_active,
+            run.charges[ends],
+        ),
+        0,
+        n_slots,
+    )
     n_sleeps = plan.n_sleeps
     n_aborted = plan.n_aborted
-    # tuple.__new__ directly: SlotResult._make adds a Python frame and a
-    # length check per row, and at one row per slot per run this
-    # construction is a top-three profile entry for whole batches.  The
-    # zip of eight equal-length columns makes the arity correct by
-    # construction.
-    slot_results = list(
-        map(
-            tuple.__new__,
-            _repeat(SlotResult),
-            zip(
-                range(n_slots),
-                plan.slept_list,
-                plan.aborted_list,
-                slot_fuel.tolist(),
-                plan.slot_load_list,
-                if_idle_l,
-                if_active_l,
-                storage_end.tolist(),
-            ),
-        )
-    )
 
     # Commit the manager end state before the deficit guard can raise,
     # mirroring the scalar path (which mutates throughout the run).
@@ -1120,7 +1092,7 @@ def _assemble_result(
         n_sleeps=n_sleeps,
         n_aborted_sleeps=n_aborted,
         wakeup_latency=n_sleeps * manager.device.t_wu,
-        slots=slot_results,
+        slots=slots,
         recorder=None,
     )
 
@@ -1372,6 +1344,16 @@ def _simulate_batch_parallel(
     return results
 
 
+def _reject_duplicates(values: list, plural: str, key: str) -> None:
+    """Raise ``ConfigurationError`` naming any repeated batch key."""
+    if len(set(values)) != len(values):
+        dupes = sorted({v for v in values if values.count(v) > 1})
+        raise ConfigurationError(
+            f"simulate_batch got duplicate {plural} {dupes}: results are "
+            f"keyed by {key}, so repeated {plural} would silently collapse"
+        )
+
+
 def simulate_batch(
     scenario: "Scenario | str",
     seeds,
@@ -1391,8 +1373,10 @@ def simulate_batch(
         Trace seeds; must be non-empty and free of duplicates (results
         are keyed by seed, so a repeated seed would silently collapse).
     policies:
-        Policy specs (see :func:`_policy_manager`); defaults to the
-        scenario's own policy kind.
+        A list of policy specs (see :func:`_policy_manager`), free of
+        duplicates for the same reason as ``seeds``; defaults to the
+        scenario's own policy kind.  A bare string is rejected rather
+        than iterated character by character.
     traces:
         Optional pre-built ``{seed: LoadTrace}``; seeds not present are
         generated from the scenario.  Lets callers amortize trace
@@ -1428,17 +1412,18 @@ def simulate_batch(
     seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise ConfigurationError("simulate_batch needs at least one seed")
-    if len(set(seed_list)) != len(seed_list):
-        dupes = sorted({s for s in seed_list if seed_list.count(s) > 1})
+    _reject_duplicates(seed_list, "seeds", "seed")
+    if isinstance(policies, str):
         raise ConfigurationError(
-            f"simulate_batch got duplicate seeds {dupes}: results are "
-            "keyed by seed, so repeated seeds would silently collapse"
+            f"simulate_batch policies must be a list of policy specs, got the "
+            f"bare string {policies!r}; pass [{policies!r}]"
         )
     specs = list(policies) if policies is not None else [scenario.policy.kind]
     if not specs:
         raise ConfigurationError("simulate_batch needs at least one policy")
     for spec in specs:
         _parse_policy_spec(spec)
+    _reject_duplicates(specs, "policies", "policy")
     check_run_limits(max_deficit_fraction)
     n_workers = resolve_workers(workers)
     if n_workers > 1 and len(seed_list) > 1:

@@ -10,6 +10,7 @@ comparison -- a single differing bit fails.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.prediction.exponential import (
     exponential_average_scan_batch,
 )
 from repro.scenario import get_scenario
+from repro.sim.slotsim import SlotColumns
 from repro.sim.stacked import clamped_cumsum_batch
 from repro.sim.vectorized import clamped_cumsum, simulate_batch
 from repro.workload.trace import LoadTrace, TaskSlot
@@ -135,3 +137,28 @@ def test_stacked_batch_matches_serial_loop(traces):
         for name in policies:
             ra, rb = a[seed][name], b[seed][name]
             assert dataclasses.asdict(ra) == dataclasses.asdict(rb), (seed, name)
+
+
+@given(traces=st.lists(slot_lists, min_size=1, max_size=3), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_slot_columns_views_behave_like_oracle_lists(traces, data):
+    """Kernel slot views (1D at width 1, stacked above) vs scalar lists.
+
+    Equal in both operand orders, same length, same rows under any
+    (negative too) index, and equal again after a pickle round trip.
+    """
+    sc = get_scenario("exp2-conv-dpm")
+    seeds = list(range(len(traces)))
+    built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
+    policies = ["conv-dpm", "asap-dpm", "fc-dpm"]
+    a = simulate_batch(sc, seeds, policies, traces=built, max_deficit_fraction=1.0)
+    b = scalar_batch(sc, seeds, policies, traces=built, max_deficit_fraction=1.0)
+    for seed in seeds:
+        for name in policies:
+            view, rows = a[seed][name].slots, b[seed][name].slots
+            assert isinstance(view, SlotColumns)
+            assert len(view) == len(rows)
+            assert view == rows and rows == view
+            i = data.draw(st.integers(-len(rows), len(rows) - 1))
+            assert view[i] == rows[i]
+            assert pickle.loads(pickle.dumps(view)) == rows

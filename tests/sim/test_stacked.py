@@ -13,6 +13,7 @@ scenario's golden aggregates.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import repro.sim.stacked as stacked_mod
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import observing
 from repro.scenario import get_scenario
-from repro.sim.slotsim import SlotSimulator
+from repro.sim.slotsim import SlotColumns, SlotResult, SlotSimulator
 from repro.sim.stacked import _stack_from_flat, stacked_batch_ineligibility
 from repro.sim.vectorized import (
     _policy_manager,
@@ -186,6 +187,101 @@ class TestStackedEquivalence:
         _assert_batches_equal(a, b)
 
 
+def _perturbed(view: SlotColumns, column: int, row: int) -> SlotColumns:
+    """``view`` with one value of one column changed (a fresh array)."""
+    columns = list(view._columns)
+    changed = columns[column].copy()
+    i = view._lo + row
+    if changed.dtype == bool:
+        changed[i] = not changed[i]
+    else:
+        changed[i] = np.nextafter(changed[i], np.inf)
+    columns[column] = changed
+    return SlotColumns(tuple(columns), view._lo, view._hi)
+
+
+class TestSlotColumns:
+    """The stacked route's lazy per-slot views against the scalar lists."""
+
+    def test_views_equal_oracle_in_both_orders(self):
+        sc = get_scenario("exp2-conv-dpm")
+        seeds = [0, 1, 2]
+        a = simulate_batch(sc, seeds, POLICIES)
+        b = scalar_batch(sc, seeds, POLICIES)
+        for seed in seeds:
+            for name in POLICIES:
+                ra, rb = a[seed][name], b[seed][name]
+                assert isinstance(ra.slots, SlotColumns)
+                assert isinstance(rb.slots, list)
+                assert ra.slots == rb.slots and rb.slots == ra.slots
+                assert not (ra.slots != rb.slots or rb.slots != ra.slots)
+                assert ra == rb and rb == ra
+
+    def test_any_single_change_breaks_equality(self):
+        sc = get_scenario("exp2-conv-dpm")
+        seeds = [4, 5]
+        a = simulate_batch(sc, seeds, ["asap-dpm", "fc-dpm"])
+        b = scalar_batch(sc, seeds, ["asap-dpm", "fc-dpm"])
+        view = a[5]["fc-dpm"].slots
+        rows = b[5]["fc-dpm"].slots
+        n_columns = len(SlotResult._fields) - 1
+        assert len(view._columns) == n_columns
+        for column in range(n_columns):
+            for row in (0, len(view) // 2, len(view) - 1):
+                changed = _perturbed(view, column, row)
+                assert changed != view and view != changed, (column, row)
+                assert changed != rows and rows != changed, (column, row)
+        assert view == rows
+
+    def test_length_and_shape_mismatch_is_unequal(self):
+        view = simulate_batch("exp2-conv-dpm", [0, 1], ["conv-dpm"])[0]["conv-dpm"].slots
+        rows = list(view)
+        assert view != rows[:-1] and rows[:-1] != view
+        assert view != SlotColumns(view._columns, view._lo, view._hi - 1)
+        assert view != tuple(rows)
+        assert view != "not slots"
+
+    def test_materialized_fields_are_python_natives(self):
+        out = simulate_batch("exp2-conv-dpm", [0, 1], POLICIES)
+        for result in out[1].values():
+            for slot in result.slots:
+                assert type(slot) is SlotResult
+                assert type(slot.index) is int
+                assert type(slot.slept) is bool
+                assert type(slot.aborted_sleep) is bool
+                for name in SlotResult._fields[3:]:
+                    assert type(getattr(slot, name)) is float, name
+
+    def test_indexing_iteration_and_lazy_len(self):
+        sc = get_scenario("exp2-conv-dpm")
+        view = simulate_batch(sc, [2, 3], ["fc-dpm"])[3]["fc-dpm"].slots
+        rows = scalar_batch(sc, [3], ["fc-dpm"])[3]["fc-dpm"].slots
+        assert len(view) == len(rows)
+        assert view._rows is None  # len alone built nothing
+        assert view[-1] == rows[-1] and view[-len(rows)] == rows[0]
+        assert view[0].index == 0 and view[-1].index == len(rows) - 1
+        assert view[1:4] == rows[1:4]
+        assert list(view) == rows
+        assert list(reversed(view)) == rows[::-1]
+        with pytest.raises(IndexError):
+            view[len(rows)]
+
+    def test_pickle_round_trip_and_size(self):
+        sc = get_scenario("exp2-conv-dpm")
+        seeds = list(range(1000, 2000))
+        wide = simulate_batch(sc, seeds, ["conv-dpm"])[1500]["conv-dpm"]
+        alone = simulate_batch(sc, [1500], ["conv-dpm"])[1500]["conv-dpm"]
+        assert wide == alone
+        for result in (wide, alone):
+            restored = pickle.loads(pickle.dumps(result))
+            assert restored == result and result == restored
+            assert restored.slots == scalar_batch(sc, [1500], ["conv-dpm"])[1500][
+                "conv-dpm"
+            ].slots
+        # A view ships its own rows, not the 1000-row batch it came from.
+        assert len(pickle.dumps(wide)) <= 2 * len(pickle.dumps(alone))
+
+
 class TestStackedDeficitRaise:
     def _mid_batch_setup(self):
         """Seeds ordered so static:0.4 trips the guard mid-batch."""
@@ -280,6 +376,23 @@ class TestBatchRouting:
             policies
         )
         assert "sim.batch_plan_stack_s" in snapshot
+
+    def test_stacked_route_stage_timings(self):
+        with observing() as obs:
+            simulate_batch("exp2-conv-dpm", [0, 1, 2], POLICIES)
+            spans = obs.tracer.export()
+            snapshot = obs.metrics.snapshot()
+        (span,) = [s for s in spans if s["name"] == "sim.batch"]
+        attrs = span["attrs"]
+        stages = [
+            attrs["plan_stack_seconds"],
+            attrs["passes_seconds"],
+            attrs["assemble_seconds"],
+        ]
+        assert all(t >= 0.0 for t in stages)
+        assert sum(stages) <= span["duration"]
+        for name in ("plan_stack", "passes", "assemble"):
+            assert snapshot[f"sim.batch_{name}_s"]["count"] == 1
 
     def test_stacked_eligibility_reasons(self):
         mgr = _policy_manager(get_scenario("exp2-conv-dpm"), "conv-dpm")

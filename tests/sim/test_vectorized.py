@@ -7,6 +7,9 @@ everything else must *route* to the scalar simulator, never silently
 diverge.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.baselines import ConvDPMController, StaticController
@@ -17,7 +20,7 @@ from repro.devices.camcorder import camcorder_device_params
 from repro.errors import ConfigurationError, DepletedError, SimulationError
 from repro.fuelcell.fuel import FuelTank, GibbsFuelModel
 from repro.scenario import get_scenario, scenario_names
-from repro.sim.slotsim import SimulationResult, SlotSimulator
+from repro.sim.slotsim import SimulationResult, SlotColumns, SlotResult, SlotSimulator
 from repro.sim.vectorized import (
     _reason_key,
     fast_path_ineligibility,
@@ -250,6 +253,69 @@ class TestRunLimits:
         assert forced_pool == []
 
 
+def _fast_and_scalar(name: str, seed: int):
+    """``(simulate_fast result, SlotSimulator result)`` on fresh managers."""
+    sc = get_scenario(name)
+    trace = sc.build_trace(seed)
+    return (
+        simulate_fast(sc.build_manager(), trace),
+        SlotSimulator(sc.build_manager()).run(trace),
+    )
+
+
+class TestSlotColumns:
+    """The 1D kernel's lazy per-slot view against the scalar list."""
+
+    @pytest.mark.parametrize(
+        "name", ["exp1-conv-dpm", "exp1-asap-dpm", "exp1-fc-dpm", "exp2-conv-dpm"]
+    )
+    def test_view_equals_scalar_in_both_orders(self, name):
+        fast, scalar = _fast_and_scalar(name, 3)
+        assert isinstance(fast.slots, SlotColumns)
+        assert isinstance(scalar.slots, list)
+        assert fast.slots == scalar.slots and scalar.slots == fast.slots
+        assert fast == scalar and scalar == fast
+
+    def test_width_one_batch_is_a_view_equal_to_oracle(self):
+        (batch,) = simulate_batch("exp2-conv-dpm", [9], ["fc-dpm"])[9].values()
+        (oracle,) = scalar_batch("exp2-conv-dpm", [9], ["fc-dpm"])[9].values()
+        assert isinstance(batch.slots, SlotColumns)
+        assert batch == oracle and oracle == batch
+
+    def test_any_single_change_breaks_equality(self):
+        fast, scalar = _fast_and_scalar("exp1-fc-dpm", 1)
+        view = fast.slots
+        for column, values in enumerate(view._columns):
+            for row in (0, len(view) - 1):
+                changed = list(view._columns)
+                changed[column] = values.copy()
+                if values.dtype == bool:
+                    changed[column][row] = not values[row]
+                else:
+                    changed[column][row] = np.nextafter(values[row], -np.inf)
+                other = SlotColumns(tuple(changed), 0, len(view))
+                assert other != view and view != other, (column, row)
+                assert other != scalar.slots and scalar.slots != other
+
+    def test_materialized_rows_are_python_natives(self):
+        fast, scalar = _fast_and_scalar("exp1-asap-dpm", 2)
+        assert fast.slots._rows is None and len(fast.slots) == scalar.n_slots
+        assert fast.slots._rows is None
+        last = fast.slots[-1]
+        assert last == scalar.slots[-1] and last.index == scalar.n_slots - 1
+        assert [type(v) for v in last] == [int, bool, bool] + [float] * 5
+        assert type(last) is SlotResult
+        assert [s.storage_end for s in fast.slots] == [
+            s.storage_end for s in scalar.slots
+        ]
+
+    def test_pickle_round_trip(self):
+        fast, scalar = _fast_and_scalar("exp1-fc-dpm", 4)
+        restored = pickle.loads(pickle.dumps(fast))
+        assert isinstance(restored.slots, SlotColumns)
+        assert restored == fast and restored == scalar and scalar == restored
+
+
 class TestSolverCacheParity:
     def test_fc_fast_path_shares_memo_entries(self):
         # The scan-compiled pass must pose byte-identical SlotProblems:
@@ -431,6 +497,24 @@ class TestBatch:
     def test_rejects_bad_static_spec(self):
         with pytest.raises(ConfigurationError, match="static"):
             simulate_batch("exp1-conv-dpm", [0], ["static:lots"])
+
+    def test_rejects_bare_string_policies(self):
+        # A str is iterable: it used to fail as "unknown policy 'f'".
+        with pytest.raises(ConfigurationError, match="bare string 'fc-dpm'"):
+            simulate_batch("exp2-conv-dpm", [1, 2], "fc-dpm")
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2]], ids=["width-1", "width-2"])
+    def test_rejects_duplicate_policies(self, seeds):
+        # Width 1 takes the per-seed loop and width 2 the stacked route;
+        # both used to return one key per seed silently.
+        with pytest.raises(ConfigurationError, match="duplicate policies"):
+            simulate_batch("exp2-conv-dpm", seeds, ["fc-dpm", "fc-dpm"])
+
+    def test_policies_checked_before_the_parallel_route(self, forced_pool):
+        for policies in ("fc-dpm", ["conv-dpm", "conv-dpm"]):
+            with pytest.raises(ConfigurationError):
+                simulate_batch("exp2-conv-dpm", [1, 2], policies, workers=2)
+        assert forced_pool == []
 
     def test_rejects_non_string_spec(self):
         with pytest.raises(ConfigurationError, match="must be a string"):
