@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint bench bench-smoke bench-vector bench-e2e-test trace-smoke exp-smoke live-smoke report export examples all
+.PHONY: install test lint bench bench-smoke bench-vector bench-e2e-test trace-smoke exp-smoke live-smoke report report-check export examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -102,6 +102,15 @@ bench-vector:
 
 report:
 	$(PYTHON) -m repro.cli report
+
+# Paper-report gate: a cold `fcdpm --no-cache --seed 2007 report` must
+# print the committed golden byte for byte (print adds one trailing
+# newline).  On a mismatch report-check.txt is left for diffing.
+report-check:
+	$(PYTHON) -m repro.cli --no-cache --seed 2007 report > report-check.txt
+	{ cat tests/goldens/full_report_seed2007_n5.txt; echo; } | cmp - report-check.txt
+	@rm -f report-check.txt
+	@echo "report-check ok (byte-identical to the golden)"
 
 export:
 	$(PYTHON) -m repro.cli export artifacts/

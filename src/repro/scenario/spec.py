@@ -18,7 +18,7 @@ golden tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..config import Experiment1Constants, Experiment2Constants, FCSystemConstants
 from ..core.manager import PowerManager
@@ -141,6 +141,15 @@ class SourceSpec:
         )
 
 
+#: The nested spec type behind each ``Scenario`` field of that name.
+_SPEC_TYPES = {
+    "workload": WorkloadSpec,
+    "device": DeviceSpec,
+    "policy": PolicySpec,
+    "source": SourceSpec,
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named, fully-specified experimental configuration.
@@ -168,15 +177,24 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output.
+
+        Raises :class:`~repro.errors.ConfigurationError` naming every key
+        that is not a field -- top-level, or dotted (``source.x``) inside
+        a nested spec -- rather than dropping or tripping over it.
+        """
+        parts = {name: data.get(name, {}) for name in _SPEC_TYPES}
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        for name, part in parts.items():
+            known = {f.name for f in fields(_SPEC_TYPES[name])}
+            unknown += sorted(f"{name}.{key}" for key in set(part) - known)
+        if unknown:
+            raise ConfigurationError(f"unknown scenario keys {unknown}")
         return cls(
             name=data["name"],
             description=data.get("description", ""),
-            workload=WorkloadSpec(**data.get("workload", {})),
-            device=DeviceSpec(**data.get("device", {})),
-            policy=PolicySpec(**data.get("policy", {})),
-            source=SourceSpec(**data.get("source", {})),
             seed=data.get("seed", 2007),
+            **{name: _SPEC_TYPES[name](**part) for name, part in parts.items()},
         )
 
     # -- builders ----------------------------------------------------------

@@ -56,7 +56,6 @@ individually (see docs/observability.md).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,17 +72,19 @@ from ..prediction.exponential import (
     ExponentialAveragePredictor,
     exponential_average_scan_batch,
 )
+from ..workload.trace import LoadTrace, TaskSlot
 from .integrator import plan_slot_arrays
 from .slotsim import SimulationResult, SlotColumns
 from .vectorized import (
     _MAX_RESCANS,
+    Ineligibility,
     TraceArrays,
     _constant_command,
     _fc_scan_seeds,
     _fuel_currents,
     _realize_commands,
     _realize_constant,
-    _reason_key,
+    _slot_sums,
     _storage_deltas,
     fast_path_ineligibility,
 )
@@ -92,50 +93,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
     from ..scenario.spec import Scenario
 
-#: Ineligibility reason prefixes specific to the stacked route, mapped
-#: to the ``sim.batch_ineligible{reason=...}`` metric labels.  Reasons
-#: inherited from the 1D fast path keep their ``sim.fast_ineligible``
-#: slugs (see ``vectorized._REASON_KEYS``).
-_STACKED_REASON_KEYS = (
-    ("finite fuel tank", "stacked-finite-tank"),
-    ("policy", "stacked-policy"),
-)
-
-
-def _stacked_reason_key(reason: str) -> str:
-    """Metric-label slug for a stacked-route ineligibility reason."""
-    for prefix, key in _STACKED_REASON_KEYS:
-        if reason.startswith(prefix):
-            return key
-    return _reason_key(reason)
-
-
-def stacked_batch_ineligibility(manager: "PowerManager") -> str | None:
+def stacked_batch_ineligibility(manager: "PowerManager") -> Ineligibility | None:
     """Why this spec cannot ride the stacked batch kernel (None = it can).
 
     Strictly stronger than :func:`~repro.sim.vectorized
     .fast_path_ineligibility`, whose exact-type controller table covers
-    both kernels (every controller with a 1D pass has a 2D pass): the
-    stacked passes additionally require a bottomless fuel tank (there is
-    no per-row mid-run depletion fallback) and a device policy whose
-    sleep decisions compile to the batched predictor scan.
+    both kernels (every controller with a 1D pass has a 2D pass) and
+    whose plant checks (a bottomless tank included) bind both: the
+    stacked passes additionally require a device policy whose sleep
+    decisions compile to the batched predictor scan.
     """
     reason = fast_path_ineligibility(manager)
     if reason is not None:
         return reason
-    tank = manager.source.fc.tank
-    if math.isfinite(tank.capacity):
-        return (
-            "finite fuel tank (stacked passes have no per-row "
-            "depletion fallback)"
-        )
     policy = manager.policy
     if type(policy) is not PredictiveShutdownPolicy or type(
         getattr(policy, "predictor", None)
     ) is not ExponentialAveragePredictor:
-        return (
-            f"policy type {type(policy).__name__} has no batched "
-            "decision scan"
+        return Ineligibility(
+            "stacked-policy",
+            f"policy type {type(policy).__name__} has no batched decision scan",
         )
     return None
 
@@ -155,6 +132,41 @@ class _BatchSlots:
     t_idle2d: np.ndarray  #: (R, W) zero-padded
     t_active2d: np.ndarray
     valid: np.ndarray  #: (R, W) bool
+
+    @classmethod
+    def from_flat(
+        cls,
+        offsets: np.ndarray,
+        t_idle: np.ndarray,
+        t_active: np.ndarray,
+        i_active: np.ndarray,
+    ) -> "_BatchSlots":
+        """Ragged rows from flat row-major columns and ``(R+1,)`` offsets."""
+        counts = np.diff(offsets)
+        width = int(counts.max()) if counts.size else 0
+        valid = np.arange(width)[None, :] < counts[:, None]
+        return cls(
+            counts=counts,
+            offsets=offsets,
+            t_idle=t_idle,
+            t_active=t_active,
+            i_active=i_active,
+            t_idle2d=_pad_rows(t_idle, valid),
+            t_active2d=_pad_rows(t_active, valid),
+            valid=valid,
+        )
+
+    def trace(self, row: int) -> LoadTrace:
+        """Row ``row``'s slots as a :class:`~repro.workload.trace.LoadTrace`."""
+        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
+        return LoadTrace(
+            map(
+                TaskSlot,
+                self.t_idle[lo:hi].tolist(),
+                self.t_active[lo:hi].tolist(),
+                self.i_active[lo:hi].tolist(),
+            )
+        )
 
 
 def _pad_rows(flat: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -176,20 +188,9 @@ def _gather_batch_slots(
     """
     arrays = None if traces else scenario.build_slot_arrays(seed_list)
     if arrays is not None:
-        t_idle2d, t_active2d, i_active2d = arrays
-        rows, width = t_idle2d.shape
-        counts = np.full(rows, width, dtype=np.intp)
-        valid = np.ones((rows, width), dtype=bool)
-        return _BatchSlots(
-            counts=counts,
-            offsets=np.arange(rows + 1, dtype=np.intp) * width,
-            t_idle=t_idle2d.ravel(),
-            t_active=t_active2d.ravel(),
-            i_active=i_active2d.ravel(),
-            t_idle2d=t_idle2d,
-            t_active2d=t_active2d,
-            valid=valid,
-        )
+        rows, width = arrays[0].shape
+        offsets = np.arange(rows + 1, dtype=np.intp) * width
+        return _BatchSlots.from_flat(offsets, *(a.ravel() for a in arrays))
     cols_i: list[np.ndarray] = []
     cols_a: list[np.ndarray] = []
     cols_c: list[np.ndarray] = []
@@ -201,22 +202,12 @@ def _gather_batch_slots(
         cols_i.append(np.array([s.t_idle for s in slots], dtype=float))
         cols_a.append(np.array([s.t_active for s in slots], dtype=float))
         cols_c.append(np.array([s.i_active for s in slots], dtype=float))
-    counts = np.array([c.shape[0] for c in cols_i], dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-    t_idle = np.concatenate(cols_i)
-    t_active = np.concatenate(cols_a)
-    i_active = np.concatenate(cols_c)
-    width = int(counts.max()) if counts.size else 0
-    valid = np.arange(width)[None, :] < counts[:, None]
-    return _BatchSlots(
-        counts=counts,
-        offsets=offsets,
-        t_idle=t_idle,
-        t_active=t_active,
-        i_active=i_active,
-        t_idle2d=_pad_rows(t_idle, valid),
-        t_active2d=_pad_rows(t_active, valid),
-        valid=valid,
+    counts = [c.shape[0] for c in cols_i]
+    return _BatchSlots.from_flat(
+        np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
+        np.concatenate(cols_i),
+        np.concatenate(cols_a),
+        np.concatenate(cols_c),
     )
 
 
@@ -447,7 +438,7 @@ def _run_asap_stacked(manager: "PowerManager", sp: StackedPlans) -> _StackedRun:
     per-segment hysteresis and the storage clamp for every row at once
     -- the same ``soc``-before-integration ordering and clamp arithmetic
     as the scalar controller, with ``np.where`` selecting each row's
-    branch.  Requires a bottomless tank (stacked eligibility).
+    branch.
     """
     controller = manager.controller
     source = manager.source
@@ -554,8 +545,8 @@ def _run_fc_stacked(
     Rows shorter than the batch width go inert past their last slot:
     their lanes still compute (the scan columns hold each row's frozen
     estimate, so the dead solves stay in-range) but every commit is
-    masked by validity.  Requires stacked eligibility (bottomless tank:
-    no depletion aborts; exact controller/model types).
+    masked by validity.  Requires stacked eligibility (exact
+    controller/model types).
     """
     controller = manager.controller
     source = manager.source
@@ -744,14 +735,6 @@ def _row_totals(flat_values: np.ndarray, sp: StackedPlans) -> np.ndarray:
     return np.cumsum(_pad_rows(flat_values, sp.valid_seg), axis=1)[:, -1]
 
 
-def _slot_sums_flat(sp: StackedPlans, values_flat: np.ndarray) -> np.ndarray:
-    """Per-slot sums across the whole batch, in scalar accumulation order."""
-    out = np.zeros(sp.flat.n_slots)
-    if out.shape[0] and values_flat.shape[0]:
-        np.add.at(out, sp.flat.slot_index, values_flat)
-    return out
-
-
 def simulate_batch_stacked(
     scenario: "Scenario",
     seed_list: list[int],
@@ -761,18 +744,23 @@ def simulate_batch_stacked(
     max_deficit_fraction: float,
     traces: dict | None,
     span,
+    slots: _BatchSlots | None = None,
 ) -> dict[int, dict[str, SimulationResult]]:
     """Run a whole (seeds x policies) batch through the stacked kernel.
 
     Every spec in ``managers`` must already have passed
-    :func:`stacked_batch_ineligibility`.  Results and the raised
-    ``SimulationError`` are bit-identical to ``simulate_batch``'s
-    per-seed loop over the same seeds and specs; the managers are only
-    read, never advanced (see the module docstring).
+    :func:`stacked_batch_ineligibility`.  ``slots`` are the batch's
+    already-gathered slot columns (a parallel shard's); without them the
+    columns are gathered here from ``traces`` and the scenario.  Results
+    and the raised ``SimulationError`` are bit-identical to
+    ``simulate_batch``'s per-seed loop over the same seeds and specs;
+    the managers are only read, never advanced (see the module
+    docstring).
     """
     t_plan0 = time.perf_counter()
     rows_n = len(seed_list)
-    slots = _gather_batch_slots(scenario, seed_list, traces)
+    if slots is None:
+        slots = _gather_batch_slots(scenario, seed_list, traces)
 
     # Device-side sleep decisions: one batched predictor scan, exactly
     # PredictiveShutdownPolicy.decisions_array per row.  As in the
@@ -848,9 +836,7 @@ def simulate_batch_stacked(
     # Shared per-row reductions (policy-independent, zero-seeded --
     # fresh managers start every ledger at 0.0).
     dur_rows = _row_totals(flat.duration, sp).tolist()
-    load_seg = flat.load_charge_seg
-    load_rows = _row_totals(load_seg, sp).tolist()
-    slot_loads = _slot_sums_flat(sp, load_seg)
+    load_rows = _row_totals(flat.load_charge_seg, sp).tolist()
     slot_row_idx = np.repeat(np.arange(rows_n), slots.counts)
     sleeps_rows = np.bincount(
         slot_row_idx, weights=flat.slept, minlength=rows_n
@@ -884,8 +870,8 @@ def simulate_batch_stacked(
         columns[spec] = (
             flat.slept,
             flat.aborted,
-            _slot_sums_flat(sp, run.fuel_flat),
-            slot_loads,
+            _slot_sums(flat, run.fuel_flat),
+            flat.slot_load_charge,
             if_idle,
             if_active,
             run.charges.ravel()[flat_end_idx],

@@ -36,10 +36,12 @@ hysteresis plays out over precomputed per-mode arrays
 exponential filters and the active-current running mean) are
 scan-compiled up front so only the storage-coupled slot solves run
 sequentially (:func:`_run_fc`).  Everything else -- any other
-controller type (subclasses included), exotic plants, recording runs,
-manual ``record_history``, ``max_segment`` re-decision chunking -- falls
-back to the scalar :class:`~repro.sim.slotsim.SlotSimulator`: never a
-wrong answer, only a slower one.
+controller type (subclasses included), exotic plants, finite fuel
+tanks, recording runs, manual ``record_history`` -- runs the scalar
+:class:`~repro.sim.slotsim.SlotSimulator`: never a wrong answer, only a
+slower one.  The route is a function of the configuration alone,
+decided before any manager state is touched, so a kernel pass always
+finishes once it starts.
 
 :func:`simulate_batch` runs a multi-seed batch whose every policy is
 stacked-eligible as one 2D sweep (:mod:`repro.sim.stacked`); anything
@@ -53,8 +55,8 @@ worker runs the in-process router on one contiguous row shard.
 
 from __future__ import annotations
 
-import copy
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -79,7 +81,6 @@ from ..prediction.exponential import (
 from ..runtime.memo import solve_slot_memo
 from ..runtime.parallel import ParallelMap, _chunk_slices, get_shared, resolve_workers
 from ..runtime.shm import SharedArrayStore, attach_group
-from ..workload.trace import LoadTrace, TaskSlot
 from .integrator import plan_slot_arrays
 from .slotsim import SimulationResult, SlotColumns, SlotSimulator, check_run_limits
 
@@ -87,6 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
     from ..dpm.policy import DPMPolicy, IdleDecision
     from ..scenario.spec import Scenario
+    from ..workload.trace import LoadTrace
 
 #: After this many storage clamp events the kernel stops rescanning
 #: arrays and finishes the stretch with a compiled-float sequential
@@ -403,110 +405,97 @@ _KERNEL_CONTROLLERS = (
     FCDPMController,
 )
 
-#: Human-readable ineligibility reasons mapped (by prefix) to the short
-#: label used on the ``sim.fast_ineligible{reason=...}`` counter.  The
-#: controller prefixes are ordered most-specific first: a scan-capable
-#: adaptive controller blocked by its predictors or its policy coupling
-#: reports differently from one with no array form at all, so ``trace
-#: summary`` shows *why* a run routed scalar.
-_REASON_KEYS = (
-    ("recording requested", "record"),
-    ("source type", "source-type"),
-    ("FC system type", "fc-type"),
-    ("fuel tank type", "tank-type"),
-    ("efficiency model", "model-clamp"),
-    ("storage type", "storage-type"),
-    ("source.record_history", "record-history"),
-    ("max_segment", "max-segment"),
-    ("controller predictors", "controller-predictor"),
-    ("controller/policy coupling", "controller-coupling"),
-    ("controller", "controller-adaptive"),
-)
 
+class Ineligibility(str):
+    """Why a configuration cannot take a kernel: message plus metric label.
 
-def _reason_key(reason: str) -> str:
-    """Short metric-label slug for an ineligibility reason string."""
-    for prefix, key in _REASON_KEYS:
-        if reason.startswith(prefix):
-            return key
-    return "other"
+    The string itself is the human-readable message; ``label`` is the
+    short slug counted on ``sim.fast_ineligible{reason=...}`` and
+    ``sim.batch_ineligible{reason=...}``.  Each check states both
+    together, so no table has to track the message wording.
+    """
+
+    label: str
+
+    def __new__(cls, label: str, message: str) -> "Ineligibility":
+        reason = super().__new__(cls, message)
+        reason.label = label
+        return reason
 
 
 def fast_path_ineligibility(
     manager: "PowerManager", *, record: bool = False
-) -> str | None:
+) -> Ineligibility | None:
     """Why this configuration cannot take the array kernel (None = it can).
 
     The checks are exact-type on purpose: a subclass may override any
     of the semantics the kernel replicates, so it routes to the scalar
-    simulator instead.  The returned string is a human-readable reason
-    (used in docs/tests); callers treat any non-None as "fall back".
+    simulator instead.  The answer depends on the configuration alone,
+    never on how a run plays out, so callers decide the route once, up
+    front; any non-None reason means "run the scalar simulator".
     """
     if record:
-        return "recording requested (Recorder consumes per-segment steps)"
+        return Ineligibility("record", "recording requested (Recorder consumes per-segment steps)")
     source = manager.source
     if type(source) is not HybridPowerSource:
-        return f"source type {type(source).__name__} has no array kernel"
-    if type(source.fc) is not FCSystem:
-        return f"FC system type {type(source.fc).__name__} has no array kernel"
-    if type(source.fc.tank) is not FuelTank:
-        return f"fuel tank type {type(source.fc.tank).__name__} has no array kernel"
-    if type(source.fc.model).clamp is not SystemEfficiencyModel.clamp:
-        return "efficiency model overrides clamp()"
+        name = type(source).__name__
+        return Ineligibility("source-type", f"source type {name} has no array kernel")
+    fc = source.fc
+    if type(fc) is not FCSystem:
+        name = type(fc).__name__
+        return Ineligibility("fc-type", f"FC system type {name} has no array kernel")
+    if type(fc.tank) is not FuelTank:
+        name = type(fc.tank).__name__
+        return Ineligibility("tank-type", f"fuel tank type {name} has no array kernel")
+    if math.isfinite(fc.tank.capacity):
+        # The passes carry no depletion check: only the scalar simulator
+        # raises DepletedError, at the exact segment it happens.
+        return Ineligibility("finite-tank", "finite fuel tank (the kernels never deplete a tank)")
+    if type(fc.model).clamp is not SystemEfficiencyModel.clamp:
+        return Ineligibility("model-clamp", "efficiency model overrides clamp()")
     if type(source.storage) not in (SuperCapacitor, IdealStorage):
-        return f"storage type {type(source.storage).__name__} has no array kernel"
+        name = type(source.storage).__name__
+        return Ineligibility("storage-type", f"storage type {name} has no array kernel")
     if source.record_history:
-        return "source.record_history is enabled"
+        return Ineligibility("record-history", "source.record_history is enabled")
     controller = manager.controller
     if type(controller) not in _KERNEL_CONTROLLERS:
-        return f"controller {type(controller).__name__} has no kernel pass"
-    if type(controller) is FCDPMController:
-        if (
-            type(controller.idle_length_predictor) is not ExponentialAveragePredictor
-            or type(controller.active_length_predictor)
-            is not ExponentialAveragePredictor
-        ):
-            return (
-                "controller predictors are not scan-compilable "
-                "(FC-DPM's fast path needs exact "
-                "ExponentialAveragePredictor instances)"
-            )
-        # The predictor scans assume each predictor sees exactly one
-        # predict/observe pair per slot.  That holds for the standard
-        # wirings -- the controller observing its own idle predictor,
-        # or sharing one instance with the paper's predictive-shutdown
-        # policy (which then owns the observations) -- but not for
-        # double-fed or untrackable aliasing, which routes scalar.
-        policy_predictor = getattr(manager.policy, "predictor", None)
-        shares_idle = policy_predictor is controller.idle_length_predictor
-        if controller.idle_length_predictor is controller.active_length_predictor:
-            return (
-                "controller/policy coupling has no scan form: FC-DPM's "
-                "idle and active predictors are the same instance"
-            )
-        if policy_predictor is controller.active_length_predictor:
-            return (
-                "controller/policy coupling has no scan form: the DPM "
-                "policy shares FC-DPM's active-length predictor"
-            )
-        if controller.observes_idle and shares_idle:
-            return (
-                "controller/policy coupling has no scan form: the idle "
-                "predictor is shared while observes_idle is on "
-                "(double-fed per slot)"
-            )
-        if (
-            not controller.observes_idle
-            and shares_idle
-            and type(manager.policy) is not PredictiveShutdownPolicy
-        ):
-            return (
-                "controller/policy coupling has no scan form: the idle "
-                f"predictor is shared but policy type "
-                f"{type(manager.policy).__name__} does not pin one "
-                "observation per slot"
-            )
-    return None
+        name = type(controller).__name__
+        return Ineligibility("controller-adaptive", f"controller {name} has no kernel pass")
+    if type(controller) is not FCDPMController:
+        return None
+    idle_pred = controller.idle_length_predictor
+    active_pred = controller.active_length_predictor
+    if {type(idle_pred), type(active_pred)} != {ExponentialAveragePredictor}:
+        return Ineligibility(
+            "controller-predictor",
+            "controller predictors are not scan-compilable (FC-DPM's fast path "
+            "needs exact ExponentialAveragePredictor instances)",
+        )
+    # The predictor scans assume each predictor sees exactly one
+    # predict/observe pair per slot.  That holds for the standard
+    # wirings -- the controller observing its own idle predictor, or
+    # sharing one instance with the paper's predictive-shutdown policy
+    # (which then owns the observations) -- but not for double-fed or
+    # untrackable aliasing, which routes scalar.
+    policy_predictor = getattr(manager.policy, "predictor", None)
+    shares_idle = policy_predictor is idle_pred
+    if idle_pred is active_pred:
+        coupling = "FC-DPM's idle and active predictors are the same instance"
+    elif policy_predictor is active_pred:
+        coupling = "the DPM policy shares FC-DPM's active-length predictor"
+    elif shares_idle and controller.observes_idle:
+        coupling = "the idle predictor is shared while observes_idle is on (double-fed per slot)"
+    elif shares_idle and type(manager.policy) is not PredictiveShutdownPolicy:
+        coupling = (
+            f"the idle predictor is shared but policy type {type(manager.policy).__name__} "
+            "does not pin one observation per slot"
+        )
+    else:
+        return None
+    return Ineligibility(
+        "controller-coupling", f"controller/policy coupling has no scan form: {coupling}"
+    )
 
 
 # -- kernel passes -----------------------------------------------------------
@@ -556,13 +545,11 @@ def _realize_constant(fc: FCSystem, cmd: float) -> tuple[float, float]:
     return realized, 0.0 if realized == 0.0 else model.fc_current(realized)
 
 
-def _run_from_plan(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
+def _run_from_plan(manager: "PowerManager", plan: TraceArrays) -> _KernelRun:
     """Array pass for constant-command controllers (conv-dpm, static).
 
     Realizes and maps the one command with the exact scalar expressions,
-    then broadcasts it.  Returns None when a finite fuel tank would
-    deplete mid-run -- the caller reruns the scalar path, which raises
-    the exact ``DepletedError`` at the exact segment.
+    then broadcasts it.
     """
     source = manager.source
     fc = source.fc
@@ -572,12 +559,6 @@ def _run_from_plan(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | N
     # identical elementwise operation without the allocation.
     realized, i_fc = _realize_constant(fc, _constant_command(manager.controller))
     fuel = i_fc * plan.duration
-    tank = fc.tank
-    if math.isfinite(tank.capacity) and plan.n_segments:
-        consumed = _running_sums(tank.consumed, fuel)
-        # Exact scalar depletion test: request > capacity - consumed-so-far.
-        if bool(np.any(fuel > tank.capacity - consumed[:-1])):
-            return None
     deltas = _storage_deltas(storage, realized, plan.i_load, plan.duration)
     charges, bled, deficit = clamped_cumsum(
         deltas,
@@ -589,7 +570,7 @@ def _run_from_plan(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | N
     return _KernelRun(realized, i_fc, fuel, charges, bled, deficit, None, realized)
 
 
-def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
+def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun:
     """Native pass for ASAP-DPM's storage-coupled recharge hysteresis.
 
     Both candidate modes (load-follow, full-output recharge) are
@@ -624,10 +605,6 @@ def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
     cur = storage.charge
     bled = storage.bled_charge
     deficit = storage.deficit_charge
-    tank = fc.tank
-    tank_cap = tank.capacity
-    consumed = tank.consumed
-    finite = math.isfinite(tank_cap)
 
     # Plain Python lists in the loop: per-element ndarray writes cost
     # ~5x a list append, and this sequential pass is the asap kernel's
@@ -636,12 +613,10 @@ def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
     charge_append = charge_l.append
     mode_l = []
     mode_append = mode_l.append
-    f_fo = fuel_follow.tolist()
-    f_re = fuel_re.tolist()
     d_fo = delta_follow.tolist()
     d_re = delta_re.tolist()
     has_cap = cap > 0
-    for fuel_fo, delta_fo, fuel_k, delta in zip(f_fo, d_fo, f_re, d_re):
+    for delta_fo, delta in zip(d_fo, d_re):
         if has_cap:
             soc = cur / cap
             if soc < threshold:
@@ -649,11 +624,7 @@ def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
             elif soc >= full_level:
                 recharging = False
         if not recharging:
-            fuel_k = fuel_fo
             delta = delta_fo
-        if finite and fuel_k > tank_cap - consumed:
-            return None  # scalar rerun raises the exact DepletedError
-        consumed += fuel_k
         new = cur + delta
         if new > cap:
             bled += new - cap
@@ -697,7 +668,7 @@ def _run_fc(
     plan: TraceArrays,
     trace: "LoadTrace",
     seeds: tuple[float, float],
-) -> _KernelRun | None:
+) -> _KernelRun:
     """Native pass for FC-DPM: scan-compiled predictors + live slot solver.
 
     The controller's only learned inputs -- the Hwang-Wu exponential
@@ -712,9 +683,7 @@ def _run_fc(
     entries byte for byte -- and integrates the slot's segments with the
     storage-saturation guard, fuel draw, and clamp ledger inlined as
     compiled-float arithmetic.  Controller and predictor end state are
-    committed only on success; a finite tank that would deplete mid-run
-    returns None with the manager untouched (beyond ``start_run``), so
-    the caller's scalar rerun sees pristine state.
+    committed in one shot after the walk.
     """
     controller = manager.controller
     source = manager.source
@@ -778,10 +747,6 @@ def _run_fc(
     charge_append = charge_l.append
     bled = storage.bled_charge
     deficit = storage.deficit_charge
-    tank = fc.tank
-    tank_cap = tank.capacity
-    consumed = tank.consumed
-    finite = math.isfinite(tank_cap)
 
     allow_zero = fc.allow_zero_output
     if_min = fc_model.if_min
@@ -867,9 +832,6 @@ def _run_fc(
                 r = min(max(cmd, if_min), if_max)
                 ifc_v = 0.0 if r == 0.0 else fc_current(r)
             fuel_j = ifc_v * d
-            if finite and fuel_j > tank_cap - consumed:
-                return None  # scalar rerun raises the exact DepletedError
-            consumed += fuel_j
             raw = (r - i_l) * d
             if is_supercap:
                 delta = (raw * ce if raw > 0 else raw) - leak * d
@@ -914,9 +876,6 @@ def _run_fc(
                 d = durs[j]
                 i_l = loads[j]
                 fuel_j = ifc_v * d
-                if finite and fuel_j > tank_cap - consumed:
-                    return None
-                consumed += fuel_j
                 raw = (r - i_l) * d
                 if is_supercap:
                     delta = (raw * ce if raw > 0 else raw) - leak * d
@@ -936,7 +895,7 @@ def _run_fc(
                 fuel_append(fuel_j)
                 charge_append(cur)
 
-    # Success: commit the exact sequential end state in one shot.
+    # Commit the exact sequential end state in one shot.
     controller.commit_kernel_run(
         n_slots,
         if_idle=if_idle_last,
@@ -1103,14 +1062,12 @@ def _simulate_fast_planned(
     plan: TraceArrays,
     max_deficit_fraction: float,
     fc_seeds: tuple[float, float] | None = None,
-) -> SimulationResult | None:
+) -> SimulationResult:
     """Kernel + assembly for an already-compiled plan (no eligibility).
 
     ``fc_seeds`` carries the FC-DPM predictor estimates captured before
     the policy replay (see :func:`_fc_scan_seeds`); required when the
-    controller is an ``FCDPMController``.  Returns None when a finite
-    fuel tank would deplete mid-run; the caller owns the scalar
-    fallback (and any state restoration).
+    controller is an ``FCDPMController``.
     """
     source = manager.source
     controller = manager.controller
@@ -1122,8 +1079,6 @@ def _simulate_fast_planned(
         run = _run_fc(manager, plan, trace, fc_seeds)
     else:
         run = _run_from_plan(manager, plan)
-    if run is None:
-        return None
     return _assemble_result(manager, plan, run, max_deficit_fraction)
 
 
@@ -1136,7 +1091,6 @@ def simulate_fast(
     *,
     record: bool = False,
     max_deficit_fraction: float = 0.05,
-    max_segment: float | None = None,
 ) -> SimulationResult:
     """Simulate ``trace`` under ``manager``: the vectorized drop-in.
 
@@ -1144,59 +1098,31 @@ def simulate_fast(
     every field) to ``SlotSimulator(manager, ...).run(trace)`` and
     leaves the manager in the same end state.  Configurations the array
     kernel cannot represent -- controllers without a kernel pass,
-    non-reference plants, recording runs (see
-    :func:`fast_path_ineligibility`), and any ``max_segment``
-    re-decision chunking -- run the scalar simulator transparently:
-    never a wrong answer, only a slower one.
+    non-reference plants, finite fuel tanks, recording runs (see
+    :func:`fast_path_ineligibility`) -- run the scalar simulator:
+    never a wrong answer, only a slower one.  Re-decision chunking is a
+    :class:`~repro.sim.slotsim.SlotSimulator` option only.
     """
-    check_run_limits(max_deficit_fraction, max_segment)
+    check_run_limits(max_deficit_fraction)
     reason = fast_path_ineligibility(manager, record=record)
-    if reason is None and max_segment is not None:
-        reason = "max_segment chunking has no array kernel"
     if reason is not None:
         if OBS.enabled:
             OBS.metrics.counter("sim.route", path="scalar").inc()
-            OBS.metrics.counter(
-                "sim.fast_ineligible", reason=_reason_key(reason)
-            ).inc()
-        with OBS.span(
-            "sim.simulate", manager=manager.name, route="scalar"
-        ):
+            OBS.metrics.counter("sim.fast_ineligible", reason=reason.label).inc()
+        with OBS.span("sim.simulate", manager=manager.name, route="scalar"):
             return SlotSimulator(
-                manager,
-                record=record,
-                max_deficit_fraction=max_deficit_fraction,
-                max_segment=max_segment,
+                manager, record=record, max_deficit_fraction=max_deficit_fraction
             ).run(trace)
-    with OBS.span("sim.simulate", manager=manager.name, route="fast") as span:
-        snapshot = None
-        if math.isfinite(manager.source.fc.tank.capacity):
-            # A finite tank can force a mid-run DepletedError that only
-            # the scalar path reports with per-segment context; snapshot
-            # the stateful pieces so the rerun sees untouched decisions.
-            # (Default tanks are bottomless: zero overhead there.)
-            snapshot = copy.deepcopy((manager.policy, manager.controller))
+    with OBS.span("sim.simulate", manager=manager.name, route="fast"):
         fc_seeds = _fc_scan_seeds(manager)
         decisions = replay_policy(manager.policy, trace)
         plan = plan_trace_arrays(manager.device, trace, decisions)
         result = _simulate_fast_planned(
             manager, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds
         )
-        if result is not None:
-            if OBS.enabled:
-                OBS.metrics.counter("sim.route", path="fast").inc()
-            return result
-        if snapshot is not None:
-            manager.policy, manager.controller = snapshot
         if OBS.enabled:
-            span.set(route="scalar")
-            OBS.metrics.counter("sim.route", path="scalar").inc()
-            OBS.metrics.counter(
-                "sim.fast_ineligible", reason="tank-depleted"
-            ).inc()
-        return SlotSimulator(
-            manager, max_deficit_fraction=max_deficit_fraction
-        ).run(trace)
+            OBS.metrics.counter("sim.route", path="fast").inc()
+        return result
 
 
 def _parse_policy_spec(spec) -> None:
@@ -1255,34 +1181,31 @@ def _batch_shard_worker(
 ) -> dict[int, dict[str, SimulationResult]]:
     """One contiguous row shard of a batch, through the in-process router.
 
-    Module-level so the process pool can pickle it.  Rebuilds the
-    shard's traces from the slot columns the coordinator shipped in
-    shared memory and runs :func:`simulate_batch` on them with
-    ``workers=1``: the same stacked-or-loop routing a serial batch of
-    these seeds takes.
+    Module-level so the process pool can pickle it.  Slices the shard's
+    rows out of the slot columns the coordinator shipped in shared
+    memory and hands them to :func:`_route_batch` as they are: the same
+    stacked-or-loop routing a serial batch of these seeds takes, with
+    no trace rebuilt for the stacked route.
     """
+    from .stacked import _BatchSlots
+
     payload = get_shared()
     cols = attach_group(payload["slots"])
-    offsets = cols["offsets"].tolist()
-    seeds = payload["seeds"][rows[0] : rows[1]]
-    traces = {}
-    for r, seed in zip(range(*rows), seeds):
-        lo, hi = offsets[r], offsets[r + 1]
-        traces[seed] = LoadTrace(
-            map(
-                TaskSlot,
-                cols["t_idle"][lo:hi].tolist(),
-                cols["t_active"][lo:hi].tolist(),
-                cols["i_active"][lo:hi].tolist(),
-            )
-        )
-    return simulate_batch(
+    lo, hi = rows
+    offsets = cols["offsets"][lo : hi + 1]
+    first, last = int(offsets[0]), int(offsets[-1])
+    slots = _BatchSlots.from_flat(
+        offsets - first,
+        cols["t_idle"][first:last],
+        cols["t_active"][first:last],
+        cols["i_active"][first:last],
+    )
+    return _route_batch(
         payload["scenario"],
-        seeds,
+        payload["seeds"][lo:hi],
         payload["specs"],
-        traces=traces,
         max_deficit_fraction=payload["max_deficit_fraction"],
-        workers=1,
+        slots=slots,
     )
 
 
@@ -1344,6 +1267,28 @@ def _simulate_batch_parallel(
     return results
 
 
+def _seed_list(seeds) -> list[int]:
+    """The batch's seeds as ints; ``ConfigurationError`` names a bad one.
+
+    A seed must be a non-negative integer (NumPy integers included).
+    Floats, strings and negative values are refused rather than
+    truncated or left to the RNG to reject.
+    """
+    out = []
+    for seed in seeds:
+        try:
+            value = operator.index(seed)
+        except TypeError:
+            value = None
+        if value is None or value < 0:
+            raise ConfigurationError(
+                f"simulate_batch seeds must be non-negative integers, "
+                f"got {seed!r}"
+            )
+        out.append(value)
+    return out
+
+
 def _reject_duplicates(values: list, plural: str, key: str) -> None:
     """Raise ``ConfigurationError`` naming any repeated batch key."""
     if len(set(values)) != len(values):
@@ -1370,8 +1315,9 @@ def simulate_batch(
     scenario:
         A :class:`~repro.scenario.spec.Scenario` or a registered name.
     seeds:
-        Trace seeds; must be non-empty and free of duplicates (results
-        are keyed by seed, so a repeated seed would silently collapse).
+        Trace seeds: non-negative integers, non-empty and free of
+        duplicates (results are keyed by seed, so a repeated seed would
+        silently collapse).
     policies:
         A list of policy specs (see :func:`_policy_manager`), free of
         duplicates for the same reason as ``seeds``; defaults to the
@@ -1409,7 +1355,7 @@ def simulate_batch(
 
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    seed_list = [int(s) for s in seeds]
+    seed_list = _seed_list(seeds)
     if not seed_list:
         raise ConfigurationError("simulate_batch needs at least one seed")
     _reject_duplicates(seed_list, "seeds", "seed")
@@ -1446,6 +1392,30 @@ def simulate_batch(
                 workers=n_workers,
             )
 
+    return _route_batch(
+        scenario,
+        seed_list,
+        specs,
+        max_deficit_fraction=max_deficit_fraction,
+        traces=traces,
+    )
+
+
+def _route_batch(
+    scenario: "Scenario",
+    seed_list: list[int],
+    specs: list[str],
+    *,
+    max_deficit_fraction: float,
+    traces: dict | None = None,
+    slots=None,
+) -> dict[int, dict[str, SimulationResult]]:
+    """The in-process batch router behind :func:`simulate_batch`.
+
+    Takes validated arguments.  The seeds' slots come from ``slots`` (a
+    parallel shard's gathered ``_BatchSlots``) when given, otherwise
+    from ``traces`` and the scenario.
+    """
     results: dict[int, dict[str, SimulationResult]] = {}
     with OBS.span(
         "sim.batch",
@@ -1456,11 +1426,7 @@ def simulate_batch(
         if len(seed_list) > 1:
             # Stacked 2D route: one kernel sweep over the whole batch.
             # Imported lazily -- sim.stacked imports this module.
-            from .stacked import (
-                _stacked_reason_key,
-                simulate_batch_stacked,
-                stacked_batch_ineligibility,
-            )
+            from .stacked import simulate_batch_stacked, stacked_batch_ineligibility
 
             managers = {spec: _policy_manager(scenario, spec) for spec in specs}
             reasons = {}
@@ -1477,6 +1443,7 @@ def simulate_batch(
                     max_deficit_fraction=max_deficit_fraction,
                     traces=traces,
                     span=span,
+                    slots=slots,
                 )
             # Fall back to the per-seed loop, one reason count per
             # ineligible spec plus the rows that fell back.
@@ -1485,16 +1452,18 @@ def simulate_batch(
                 OBS.metrics.counter("sim.batch_route", path="loop").inc()
                 for reason in reasons.values():
                     OBS.metrics.counter(
-                        "sim.batch_ineligible",
-                        reason=_stacked_reason_key(reason),
+                        "sim.batch_ineligible", reason=reason.label
                     ).inc()
                 OBS.metrics.counter("sim.batch_fallback_rows").inc(
                     len(seed_list)
                 )
-        for seed in seed_list:
-            trace = None if traces is None else traces.get(seed)
-            if trace is None:
-                trace = scenario.build_trace(seed)
+        for row, seed in enumerate(seed_list):
+            if slots is not None:
+                trace = slots.trace(row)
+            else:
+                trace = None if traces is None else traces.get(seed)
+                if trace is None:
+                    trace = scenario.build_trace(seed)
             results[seed] = {
                 spec: simulate_fast(
                     _policy_manager(scenario, spec),

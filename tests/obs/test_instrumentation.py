@@ -88,19 +88,6 @@ class TestRecordedRunTelemetry:
         sim_span = next(s for s in spans if s["name"] == "sim.simulate")
         assert sim_span["attrs"]["route"] == "fast"
 
-    def test_max_segment_routes_scalar_with_reason_metric(
-        self, managers, small_trace
-    ):
-        with observing() as obs:
-            simulate_fast(managers[1], small_trace, max_segment=5.0)
-            snapshot = obs.metrics.snapshot()
-            spans = obs.tracer.export()
-        assert snapshot["sim.route{path=scalar}"]["value"] == 1
-        assert snapshot["sim.fast_ineligible{reason=max-segment}"]["value"] == 1
-        assert "sim.route{path=fast}" not in snapshot
-        sim_span = next(s for s in spans if s["name"] == "sim.simulate")
-        assert sim_span["attrs"]["route"] == "scalar"
-
     def test_disabled_emits_nothing(self, managers, small_trace):
         assert not OBS.enabled
         before = len(OBS.metrics)

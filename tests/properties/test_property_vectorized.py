@@ -135,21 +135,6 @@ class TestSimulateFastEquivalence:
         ps = m_scalar.policy.predictor
         assert pf.estimate == ps.estimate
 
-    @given(slots, st.floats(min_value=3.0, max_value=20.0))
-    @settings(max_examples=25, deadline=None)
-    def test_max_segment_exact(self, slot_list, max_segment):
-        trace = LoadTrace(slot_list)
-        dev = camcorder_device_params()
-        m1 = PowerManager.asap_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
-        m2 = PowerManager.asap_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
-        r_fast = simulate_fast(
-            m1, trace, max_deficit_fraction=1.0, max_segment=max_segment
-        )
-        r_scalar = SlotSimulator(
-            m2, max_deficit_fraction=1.0, max_segment=max_segment
-        ).run(trace)
-        assert r_fast == r_scalar
-
 
 def _clamped_cumsum_reference(deltas, initial, capacity):
     """The scalar ``ChargeStorage._apply`` recurrence, verbatim."""

@@ -59,6 +59,23 @@ class TestSpecs:
         assert sc.policy.kind == "fc-dpm"
         assert sc.seed == 2007
 
+    def test_from_dict_rejects_unknown_top_level_key(self):
+        with pytest.raises(ConfigurationError, match=r"\['bogus'\]"):
+            Scenario.from_dict({"name": "bare", "bogus": 1})
+
+    def test_from_dict_rejects_nested_typo_by_dotted_name(self):
+        data = get_scenario("exp2-fc-dpm").to_dict()
+        data["source"]["storage_capacty"] = 3.0
+        data["policy"]["sigmaa"] = 0.2
+        with pytest.raises(ConfigurationError) as exc:
+            Scenario.from_dict(data)
+        assert "['policy.sigmaa', 'source.storage_capacty']" in str(exc.value)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registry_scenarios_round_trip(self, name):
+        sc = get_scenario(name)
+        assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
+
 
 class TestRegistry:
     def test_canonical_names_present(self):

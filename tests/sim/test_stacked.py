@@ -403,6 +403,13 @@ class TestBatchRouting:
         finite.source.fc.tank = FuelTank(capacity=50.0, model=GibbsFuelModel())
         reason = stacked_batch_ineligibility(finite)
         assert reason is not None and "finite fuel tank" in reason
+        assert reason.label == "finite-tank"  # inherited from the 1D rules
+        from repro.prediction import LastValuePredictor
+
+        unscanned = _policy_manager(get_scenario("exp2-conv-dpm"), "conv-dpm")
+        unscanned.policy.predictor = LastValuePredictor()
+        reason = stacked_batch_ineligibility(unscanned)
+        assert reason is not None and reason.label == "stacked-policy"
 
 
 class TestStackedTransport:

@@ -8,6 +8,7 @@ diverge.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from repro.errors import ConfigurationError, DepletedError, SimulationError
 from repro.fuelcell.fuel import FuelTank, GibbsFuelModel
 from repro.scenario import get_scenario, scenario_names
 from repro.sim.slotsim import SimulationResult, SlotColumns, SlotResult, SlotSimulator
+from repro.obs import observing
 from repro.sim.vectorized import (
-    _reason_key,
     fast_path_ineligibility,
     simulate_batch,
     simulate_fast,
@@ -91,16 +92,6 @@ class TestRegistryEquivalence:
         m_fast, m_scalar = build(), build()
         assert simulate_fast(m_fast, trace) == SlotSimulator(m_scalar).run(trace)
         assert _source_state(m_fast) == _source_state(m_scalar)
-
-    def test_max_segment_parity(self):
-        dev = camcorder_device_params()
-        trace = generate_mpeg_trace(seed=3)
-        m1 = PowerManager.asap_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
-        m2 = PowerManager.asap_dpm(dev, storage_capacity=6.0, storage_initial=3.0)
-        r_fast = simulate_fast(m1, trace, max_segment=5.0)
-        r_scalar = SlotSimulator(m2, max_segment=5.0).run(trace)
-        assert r_fast == r_scalar
-        assert _source_state(m1) == _source_state(m2)
 
 
 class TestRouting:
@@ -209,7 +200,7 @@ class TestKernelControllerTable:
         m_fast, m_scalar = build(dev, trace), build(dev, trace)
         reason = fast_path_ineligibility(m_fast)
         assert reason is not None
-        assert _reason_key(reason) == "controller-adaptive"
+        assert reason.label == "controller-adaptive"
         assert simulate_fast(m_fast, trace) == SlotSimulator(m_scalar).run(trace)
         assert _source_state(m_fast) == _source_state(m_scalar)
 
@@ -231,10 +222,6 @@ class TestRunLimits:
     def test_simulate_fast_rejects_nan_deficit_fraction(self, managers, small_trace):
         with pytest.raises(SimulationError, match="max_deficit_fraction"):
             simulate_fast(managers[0], small_trace, max_deficit_fraction=NAN)
-
-    def test_simulate_fast_rejects_nan_max_segment(self, managers, small_trace):
-        with pytest.raises(SimulationError, match="max_segment"):
-            simulate_fast(managers[0], small_trace, max_segment=NAN)
 
     @pytest.mark.parametrize("mdf", [NAN, -0.1], ids=["nan", "negative"])
     @pytest.mark.parametrize("seeds", [[1], [1, 2]], ids=["width-1", "width-2"])
@@ -338,22 +325,41 @@ class TestSolverCacheParity:
             memo.clear_solver_cache()
 
 
+def _static_manager():
+    mgr = get_scenario("exp1-conv-dpm").build_manager()
+    mgr.controller = StaticController(mgr.controller.model, 0.6)
+    return mgr
+
+
 class TestErrorParity:
-    def test_depleted_tank_matches_scalar(self):
-        # A tank too small for the run must raise the *same*
-        # DepletedError from both paths (the kernel reruns the scalar
-        # simulator on a snapshot to get the per-segment context).
-        def build():
-            mgr = get_scenario("exp1-asap-dpm").build_manager()
+    @pytest.mark.parametrize(
+        "build",
+        [
+            get_scenario("exp1-conv-dpm").build_manager,
+            _static_manager,
+            get_scenario("exp1-asap-dpm").build_manager,
+            get_scenario("exp1-fc-dpm").build_manager,
+        ],
+        ids=["conv-dpm", "static", "asap-dpm", "fc-dpm"],
+    )
+    def test_depleted_tank_matches_scalar(self, build):
+        # A finite tank routes scalar before any pass runs, so a tank
+        # too small for the run raises the oracle's DepletedError.
+        def finite():
+            mgr = build()
             mgr.source.fc.tank = FuelTank(capacity=50.0, model=GibbsFuelModel())
             return mgr
 
-        trace = get_scenario("exp1-asap-dpm").build_trace(0)
+        trace = get_scenario("exp1-conv-dpm").build_trace(0)
         with pytest.raises(DepletedError) as scalar_exc:
-            SlotSimulator(build()).run(trace)
-        with pytest.raises(DepletedError) as fast_exc:
-            simulate_fast(build(), trace)
+            SlotSimulator(finite()).run(trace)
+        with observing() as obs:
+            with pytest.raises(DepletedError) as fast_exc:
+                simulate_fast(finite(), trace)
+            snapshot = obs.metrics.snapshot()
         assert str(fast_exc.value) == str(scalar_exc.value)
+        assert snapshot["sim.fast_ineligible{reason=finite-tank}"]["value"] == 1
+        assert "sim.route{path=fast}" not in snapshot
 
     def test_deficit_guard_matches_scalar(self):
         # static:0.4 undersupplies the Exp-1 load enough to trip the
@@ -515,6 +521,37 @@ class TestBatch:
             with pytest.raises(ConfigurationError):
                 simulate_batch("exp2-conv-dpm", [1, 2], policies, workers=2)
         assert forced_pool == []
+
+    @pytest.mark.parametrize(
+        "seeds, bad",
+        [
+            ([1.5], 1.5),
+            (["3"], "3"),
+            ([-1], -1),
+            ([1.2, 1.7], 1.2),
+            ([7, 3.0], 3.0),
+            ([7, np.float64(2.0)], np.float64(2.0)),
+        ],
+        ids=["fraction", "string", "negative", "fractions", "float", "numpy-float"],
+    )
+    def test_rejects_bad_seed(self, seeds, bad):
+        # Checked before routing at width 1 (per-seed loop) and width 2
+        # (stacked route): no seed is truncated, parsed or handed to the
+        # RNG unchecked, and the error names the offending seed.
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {bad!r}")):
+            simulate_batch("exp2-conv-dpm", seeds)
+
+    def test_seeds_checked_before_the_parallel_route(self, forced_pool):
+        for seeds in ([1, 2.5], [1, -2]):
+            with pytest.raises(ConfigurationError, match="non-negative integers"):
+                simulate_batch("exp2-conv-dpm", seeds, workers=2)
+        assert forced_pool == []
+
+    def test_accepts_numpy_integer_seeds(self):
+        seeds = np.arange(3, 5)
+        out = simulate_batch("exp2-conv-dpm", seeds)
+        assert out == simulate_batch("exp2-conv-dpm", [3, 4])
+        assert all(type(seed) is int for seed in out)
 
     def test_rejects_non_string_spec(self):
         with pytest.raises(ConfigurationError, match="must be a string"):
