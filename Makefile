@@ -58,6 +58,7 @@ exp-smoke:
 		--scenario exp2-asap-dpm --seeds 0:3
 	FCDPM_CACHE_DIR=exp-smoke-out FCDPM_EXP_ABORT_AFTER=2 \
 		$(PYTHON) -m repro.cli exp run smoke-a; test $$? -eq 3
+	$(PYTHON) scripts/check_exp_state.py exp-smoke-out/experiments
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp resume smoke-a
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 1/2
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 2/2

@@ -94,7 +94,7 @@ class ExperimentResults:
             key = record.cache_key or task.cache_key()
             value = cache.get(key, sentinel)
             if value is sentinel:
-                missing.append(f"{task.task_id} (evicted from cache)")
+                missing.append(f"{task.task_id} (evicted or corrupt in cache)")
                 continue
             values[task.task_id] = value
             if mark_analyzed:

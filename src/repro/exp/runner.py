@@ -197,7 +197,7 @@ class _Runner:
     # -- state persistence -------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Persist the current records (shard sidecar when sharded)."""
+        """Persist the records (shard sidecar); once per dispatch unit."""
         if self.store is not None:
             self.state.refresh_status()
             self.store.save(self.state, shard=self.shard)
@@ -233,7 +233,6 @@ class _Runner:
             self.progress.add_done()
         if OBS.enabled:
             OBS.metrics.counter("exp.tasks_done", kind=task.kind).inc()
-        self.checkpoint()
         self._maybe_abort()
 
     def commit_failed(self, task: UnitTask, error: str) -> None:
@@ -247,7 +246,6 @@ class _Runner:
             self.progress.add_failed()
         if OBS.enabled:
             OBS.metrics.counter("exp.tasks_failed", kind=task.kind).inc()
-        self.checkpoint()
         self._maybe_abort()
 
     def mark_resumed(self, task: UnitTask, key: str) -> None:
@@ -298,16 +296,17 @@ class _Runner:
                         [by_cell[(s, p)] for s in seeds for p in policies],
                         batch_error=f"{type(exc).__name__}: {exc}",
                     )
-                    continue
-                wall = time.perf_counter() - t0
-                per_cell = wall / max(len(seeds) * len(policies), 1)
-                for seed in seeds:
-                    for policy in policies:
-                        self.commit_done(
-                            by_cell[(seed, policy)],
-                            result_metrics(out[seed][policy]),
-                            per_cell,
-                        )
+                else:
+                    wall = time.perf_counter() - t0
+                    per_cell = wall / max(len(seeds) * len(policies), 1)
+                    for seed in seeds:
+                        for policy in policies:
+                            self.commit_done(
+                                by_cell[(seed, policy)],
+                                result_metrics(out[seed][policy]),
+                                per_cell,
+                            )
+                self.checkpoint()
 
     def _execute_cells_individually(
         self, tasks: list[UnitTask], batch_error: str
@@ -333,19 +332,18 @@ class _Runner:
         self.set_phase("dispatch:tasks")
         workers = self.workers if self.workers is not None else 0
         if workers and workers != 1 and len(tasks) > 1:
-            outcomes = ParallelMap(workers=self.workers).map(_safe_run_task, tasks)
-            for task, (ok, value, wall_s) in zip(tasks, outcomes):
+            pool = ParallelMap(workers=self.workers)
+            units = [list(zip(tasks, pool.map(_safe_run_task, tasks)))]
+        else:
+            # Lazy, so each serial task is its own checkpointed unit.
+            units = ([(task, _safe_run_task(task))] for task in tasks)
+        for unit in units:
+            for task, (ok, value, wall_s) in unit:
                 if ok:
                     self.commit_done(task, value, wall_s)
                 else:
                     self.commit_failed(task, value)
-            return
-        for task in tasks:
-            ok, value, wall_s = _safe_run_task(task)
-            if ok:
-                self.commit_done(task, value, wall_s)
-            else:
-                self.commit_failed(task, value)
+            self.checkpoint()
 
 
 def _safe_run_task(task: UnitTask) -> tuple[bool, Any, float]:
@@ -403,10 +401,11 @@ def run_experiment(
         heartbeats + an OpenMetrics exposition under the experiment
         dir for ``fcdpm exp watch`` / ``fcdpm top``.
 
-    Returns an :class:`ExperimentRun`; the state file (when persisted)
-    is left consistent even if the process dies mid-run, because every
-    commit writes the cache entry first and checkpoints the state
-    after.
+    Returns an :class:`ExperimentRun`.  A cell's commit is its cache
+    entry plus manifest, written before any record says ``done``; the
+    state file is checkpointed per dispatch unit, so after a hard kill
+    it may lag the cache, never lead it, and the next resume re-derives
+    the lagging cells from the cache.
     """
     if isinstance(spec, str):
         if store is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -71,7 +71,9 @@ class RunManifest:
     versions: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
+        # Shallow: nested dicts/lists are shared with the manifest, not
+        # deep-copied; ``json.dumps`` walks them the same either way.
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["seeds"] = list(self.seeds)
         return data
 

@@ -37,6 +37,9 @@ from ..obs import OBS
 
 _FINGERPRINT: str | None = None
 
+#: Length of the SHA-256 trailer after every entry's pickle bytes.
+_DIGEST_BYTES = 32
+
 logger = logging.getLogger("repro.runtime.cache")
 
 
@@ -113,10 +116,12 @@ class ResultCache:
         """Load a cached value, or ``default`` on any kind of miss."""
         if not self.enabled:
             return default
-        path = self._path(key)
         try:
-            with path.open("rb") as fh:
-                value = pickle.load(fh)
+            data = self._path(key).read_bytes()
+            body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+            if len(data) <= _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
+                raise pickle.UnpicklingError("entry checksum mismatch")
+            value = pickle.loads(body)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
             self.misses += 1
             if OBS.enabled:
@@ -130,6 +135,11 @@ class ResultCache:
     def put(self, key: str, value: Any) -> None:
         """Store a value atomically (rename over a temp file).
 
+        The entry is the pickle followed by the SHA-256 of the pickle
+        bytes.  The digest sits after the pickle's STOP opcode, so a
+        bare ``pickle.load`` still reads the entry; :meth:`get` checks
+        it, so a torn or bit-flipped entry is a miss, never a value.
+
         Best-effort: an unwritable directory or unpicklable value makes
         this a no-op -- the cache must never break the computation.
         """
@@ -137,10 +147,11 @@ class ResultCache:
             return
         tmp = None
         try:
+            body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(body + hashlib.sha256(body).digest())
             os.replace(tmp, self._path(key))
         except (OSError, pickle.PickleError, AttributeError, TypeError):
             if tmp is not None:

@@ -155,6 +155,33 @@ class TestPersistedRun:
         full = ExperimentResults.from_run(run_experiment(spec)).by_cell()
         assert ExperimentResults.load(merged, cache).by_cell() == full
 
+    def test_state_saves_do_not_grow_with_the_cell_count(
+        self, tmp_path, monkeypatch
+    ):
+        # define + resume scan + one per simulate_batch group + final,
+        # whether the group holds 12 cells or 192.
+        calls = []
+        save = ExperimentStore.save
+
+        def counting_save(self, state, shard=None):
+            calls.append(state.spec.name)
+            return save(self, state, shard=shard)
+
+        monkeypatch.setattr(ExperimentStore, "save", counting_save)
+        counts = {}
+        for n_seeds in (4, 64):
+            name = f"saves{n_seeds}"
+            spec = scenario_batch_spec(
+                name, "exp2-conv-dpm", range(n_seeds),
+                policies=("conv-dpm", "asap-dpm", "fc-dpm"),
+            )
+            store = ExperimentStore(tmp_path / name)
+            cache = ResultCache(tmp_path / name / "cache")
+            run = run_experiment(spec, store=store, cache=cache)
+            assert run.executed == 3 * n_seeds
+            counts[n_seeds] = calls.count(name)
+        assert counts == {4: 4, 64: 4}
+
     def test_run_by_name_requires_store(self):
         with pytest.raises(ConfigurationError, match="requires a store"):
             run_experiment("whatever")

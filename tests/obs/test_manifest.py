@@ -1,5 +1,6 @@
 """RunManifest: assembly, JSON roundtrip, schema validation."""
 
+import dataclasses
 import json
 
 from repro.obs import RunManifest, build_manifest
@@ -41,6 +42,20 @@ def test_write_read_roundtrip(tmp_path):
     assert path.exists()
     rebuilt = RunManifest.from_dict(json.loads(path.read_text()))
     assert rebuilt == m
+
+
+def test_shallow_to_dict_serializes_like_a_deep_copy():
+    m = build_manifest(
+        "exp/sweep.storage",
+        scenario={"name": "exp2-fc-dpm", "source": {"capacity": 6.0}},
+        params={"ablate": {"capacity": [3, 6.5]}, "policies": ("conv", "fc")},
+        seeds=[0, 1],
+        metrics={"exp.tasks_done{kind=scenario}": {"type": "counter", "value": 4}},
+    )
+    deep = dataclasses.asdict(m)
+    deep["seeds"] = list(m.seeds)
+    expected = json.dumps(deep, indent=2, sort_keys=True, default=repr)
+    assert m.to_json() == expected
 
 
 def test_built_manifest_validates():

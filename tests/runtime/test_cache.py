@@ -1,6 +1,7 @@
 """Unit tests for the on-disk result cache: key stability + invalidation."""
 
 import pickle
+import struct
 
 from repro.runtime.cache import ResultCache, cache_key, code_fingerprint
 
@@ -97,6 +98,20 @@ class TestResultCache:
         cache.put("k", 1)
         next(tmp_path.glob("*.pkl")).write_bytes(b"not a pickle")
         assert cache.get("k", default="fallback") == "fallback"
+
+    def test_flipped_bit_and_short_entry_are_misses(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        cache.put("k", {"fuel": 846.404})
+        path = next(tmp_path.glob("*.pkl"))
+        data = bytearray(path.read_bytes())
+        # A bit inside the float still unpickles -- to a wrong value.
+        at = bytes(data).index(struct.pack(">d", 846.404)) + 7
+        data[at] ^= 1
+        path.write_bytes(bytes(data))
+        assert pickle.loads(bytes(data)) != {"fuel": 846.404}
+        assert cache.get("k", default="miss") == "miss"
+        path.write_bytes(b"\x80")
+        assert cache.get("k", default="miss") == "miss"
 
     def test_unwritable_root_is_silent(self, tmp_path):
         target = tmp_path / "blocked"
