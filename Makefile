@@ -10,7 +10,8 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Static checks: ruff if available, byte-compilation always.
+# Static checks: ruff if available, byte-compilation and benchmark
+# collection (which imports every bench module) always.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check .; \
@@ -18,6 +19,7 @@ lint:
 		echo "ruff not installed (pip install -e '.[lint]'); skipping ruff"; \
 	fi
 	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m pytest benchmarks --collect-only -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -1,5 +1,4 @@
-"""Robustness benches: seed stability, fault injection, slew limits,
-multi-device ordering.
+"""Robustness benches: seed stability, fault injection, slew limits.
 
 These quantify how far the paper's headline survives conditions the
 paper never tested.
@@ -9,8 +8,6 @@ from repro.analysis.report import format_table
 from repro.analysis.slew import slew_rate_sweep
 from repro.core.manager import PowerManager
 from repro.devices.camcorder import camcorder_device_params
-from repro.devices.device import DeviceParams
-from repro.devices.multidevice import MultiDeviceTask, compare_orderings
 from repro.fuelcell.efficiency import LinearSystemEfficiency
 from repro.sim.faults import DegradedEfficiency
 from repro.sim.montecarlo import run_seeds, table2_metrics
@@ -106,32 +103,3 @@ def test_bench_slew_rate(benchmark, emit):
     assert abs(steepest.fuel_penalty) < 0.01
     assert steepest.worst_transition_shortfall < 0.2
 
-
-def test_bench_multidevice_ordering(benchmark, emit):
-    """Ref [7]: clustering tasks by device consolidates sleepable idle."""
-    def dev(t_pd, t_wu):
-        return DeviceParams(
-            i_run=1.0, i_sdb=0.4, i_slp=0.05, t_pd=t_pd, t_wu=t_wu,
-            i_pd=0.4, i_wu=0.4,
-        )
-
-    devices = {"disk": dev(2.0, 2.0), "net": dev(2.0, 2.0)}
-    tasks = []
-    for k in range(6):
-        tasks.append(MultiDeviceTask(f"a{k}", 3.0, frozenset({"disk"})))
-        tasks.append(MultiDeviceTask(f"b{k}", 3.0, frozenset({"net"})))
-
-    results = benchmark.pedantic(
-        compare_orderings, args=(tasks, devices), rounds=1, iterations=1
-    )
-    rows = [["ordering", "total charge (A-s)", "total sleeps"]]
-    for name, ev in results.items():
-        rows.append([name, f"{ev.total_charge:.2f}", str(ev.total_sleeps)])
-    saving = 1 - results["clustered"].total_charge / results["fifo"].total_charge
-    emit(
-        "robust_multidevice",
-        "PRIOR WORK [7] -- multi-device task ordering\n"
-        + format_table(rows)
-        + f"\ncharge saving from clustering: {100 * saving:.1f}%",
-    )
-    assert results["clustered"].total_charge < results["fifo"].total_charge

@@ -17,12 +17,6 @@ from .optimizer import (
     solve_slot_numeric,
     solve_horizon,
 )
-from .multilevel import (
-    DiscreteSolution,
-    default_levels,
-    solve_slot_discrete,
-    quantization_loss_curve,
-)
 from .baselines import (
     SourceController,
     SegmentContext,
@@ -44,10 +38,6 @@ __all__ = [
     "solve_slot",
     "solve_slot_numeric",
     "solve_horizon",
-    "DiscreteSolution",
-    "default_levels",
-    "solve_slot_discrete",
-    "quantization_loss_curve",
     "SourceController",
     "SegmentContext",
     "ConvDPMController",

@@ -20,6 +20,8 @@ the actual storage level, and holds that through the active period.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError
 from ..fuelcell.efficiency import SystemEfficiencyModel
 from ..prediction.base import Predictor
@@ -77,8 +79,13 @@ class FCDPMController(SourceController):
             if idle_length_predictor is not None
             else ExponentialAveragePredictor(factor=0.5)
         )
-        if active_current_estimate is not None and active_current_estimate < 0:
-            raise ConfigurationError("active-current estimate cannot be negative")
+        if active_current_estimate is not None and not (
+            0 <= active_current_estimate < math.inf
+        ):
+            raise ConfigurationError(
+                "active-current estimate must be finite and non-negative, "
+                f"got {active_current_estimate!r}"
+            )
         self.active_current_estimate = active_current_estimate
         self.fallback_active_current = (
             fallback_active_current

@@ -7,13 +7,6 @@ from .camcorder import (
     camcorder_device_params,
     randomized_device_params,
 )
-from .multidevice import (
-    MultiDeviceTask,
-    ScheduleEvaluation,
-    cluster_order,
-    evaluate_schedule,
-    compare_orderings,
-)
 
 __all__ = [
     "PowerState",
@@ -25,9 +18,4 @@ __all__ = [
     "dvd_camcorder",
     "camcorder_device_params",
     "randomized_device_params",
-    "MultiDeviceTask",
-    "ScheduleEvaluation",
-    "cluster_order",
-    "evaluate_schedule",
-    "compare_orderings",
 ]

@@ -8,6 +8,7 @@ SLEEP, accounting for transition latency and charge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .. import units
@@ -55,15 +56,24 @@ class DeviceParams:
     v_rail: float = 12.0
 
     def __post_init__(self) -> None:
-        currents = (self.i_run, self.i_sdb, self.i_slp, self.i_pd, self.i_wu)
-        if min(currents) < 0:
-            raise ConfigurationError("currents must be non-negative")
-        if min(self.t_pd, self.t_wu, self.t_sdb_to_run, self.t_run_to_sdb) < 0:
-            raise ConfigurationError("latencies must be non-negative")
+        # ``not 0 <= x < inf`` also rejects NaN, which every ordered
+        # comparison lets through.
+        names = ("i_run", "i_sdb", "i_slp", "i_pd", "i_wu",
+                 "t_pd", "t_wu", "t_sdb_to_run", "t_run_to_sdb")
+        if self.t_be is not None:
+            names += ("t_be",)
+        for name in names:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+        if not 0 < self.v_rail < math.inf:
+            raise ConfigurationError(
+                f"v_rail must be finite and positive, got {self.v_rail!r}"
+            )
         if self.i_slp > self.i_sdb:
             raise ConfigurationError("SLEEP must draw no more than STANDBY")
-        if self.t_be is not None and self.t_be < 0:
-            raise ConfigurationError("break-even time cannot be negative")
 
     @classmethod
     def from_powers(

@@ -6,8 +6,6 @@ from .timeout import TimeoutPolicy
 from .predictive import PredictiveShutdownPolicy
 from .oracle import OraclePolicy
 from .always import AlwaysOnPolicy, AlwaysSleepPolicy
-from .stochastic import GeometricMixture, StochasticDPMPolicy, optimal_timeout
-from .procrastination import ProcrastinationReport, procrastinate
 
 __all__ = [
     "IdleDecision",
@@ -19,9 +17,4 @@ __all__ = [
     "OraclePolicy",
     "AlwaysOnPolicy",
     "AlwaysSleepPolicy",
-    "GeometricMixture",
-    "StochasticDPMPolicy",
-    "optimal_timeout",
-    "ProcrastinationReport",
-    "procrastinate",
 ]

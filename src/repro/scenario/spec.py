@@ -18,6 +18,7 @@ golden tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..config import Experiment1Constants, Experiment2Constants, FCSystemConstants
@@ -48,9 +49,19 @@ _STORAGE_KINDS = ("supercap", "liion")
 _SHARING_KINDS = ("equal", "efficiency")
 
 
-def _check(value: str, allowed: tuple[str, ...], what: str) -> None:
+# Each spec check's message starts with the field name, so
+# Scenario.from_dict can prefix the dotted path (``device.i_pd ...``).
+def _check(value: str, allowed: tuple[str, ...], name: str) -> None:
     if value not in allowed:
-        raise ConfigurationError(f"unknown {what} {value!r}; expected one of {allowed}")
+        raise ConfigurationError(f"{name} {value!r} is not one of {allowed}")
+
+
+def _check_finite(spec, *names: str) -> None:
+    """Reject NaN and infinity in optional numeric fields, naming the field."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not -math.inf < value < math.inf:
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +80,9 @@ class WorkloadSpec:
     jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        _check(self.kind, _WORKLOAD_KINDS, "workload kind")
+        _check(self.kind, _WORKLOAD_KINDS, "kind")
         if not 0 <= self.jitter < 1:
-            raise ConfigurationError("workload jitter must be in [0, 1)")
+            raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,8 @@ class DeviceSpec:
     i_wu: float | None = None
 
     def __post_init__(self) -> None:
-        _check(self.kind, _DEVICE_KINDS, "device kind")
+        _check(self.kind, _DEVICE_KINDS, "kind")
+        _check_finite(self, "i_pd", "i_wu")
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,8 @@ class PolicySpec:
     recharge_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        _check(self.kind, _POLICY_KINDS, "policy kind")
+        _check(self.kind, _POLICY_KINDS, "kind")
+        _check_finite(self, "active_current_estimate")
 
 
 @dataclass(frozen=True)
@@ -124,11 +137,13 @@ class SourceSpec:
     sharing: str = "equal"
 
     def __post_init__(self) -> None:
-        _check(self.kind, _SOURCE_KINDS, "source kind")
-        _check(self.storage_kind, _STORAGE_KINDS, "storage kind")
-        _check(self.sharing, _SHARING_KINDS, "sharing strategy")
+        _check(self.kind, _SOURCE_KINDS, "kind")
+        _check(self.storage_kind, _STORAGE_KINDS, "storage_kind")
+        _check(self.sharing, _SHARING_KINDS, "sharing")
         if self.kind == "multi-stack" and self.n_stacks < 1:
-            raise ConfigurationError("multi-stack source needs n_stacks >= 1")
+            raise ConfigurationError(
+                f"n_stacks must be >= 1 for a multi-stack source, got {self.n_stacks!r}"
+            )
 
     def build_storage(self) -> ChargeStorage:
         """Instantiate the configured charge-storage element."""
@@ -181,7 +196,8 @@ class Scenario:
 
         Raises :class:`~repro.errors.ConfigurationError` naming every key
         that is not a field -- top-level, or dotted (``source.x``) inside
-        a nested spec -- rather than dropping or tripping over it.
+        a nested spec -- rather than dropping or tripping over it, and
+        naming a rejected value by its dotted path (``device.i_pd``).
         """
         parts = {name: data.get(name, {}) for name in _SPEC_TYPES}
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -190,11 +206,17 @@ class Scenario:
             unknown += sorted(f"{name}.{key}" for key in set(part) - known)
         if unknown:
             raise ConfigurationError(f"unknown scenario keys {unknown}")
+        specs = {}
+        for name, part in parts.items():
+            try:
+                specs[name] = _SPEC_TYPES[name](**part)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{name}.{exc}") from None
         return cls(
             name=data["name"],
             description=data.get("description", ""),
             seed=data.get("seed", 2007),
-            **{name: _SPEC_TYPES[name](**part) for name, part in parts.items()},
+            **specs,
         )
 
     # -- builders ----------------------------------------------------------

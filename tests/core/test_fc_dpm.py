@@ -150,6 +150,11 @@ class TestLearning:
         with pytest.raises(ConfigurationError):
             FCDPMController(model, active_current_estimate=-1.0)
 
+    @pytest.mark.parametrize("estimate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_estimate(self, model, estimate):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FCDPMController(model, active_current_estimate=estimate)
+
     def test_reset(self, model):
         c = make_controller(model)
         c.start_run(0.0, 200.0)

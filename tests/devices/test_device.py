@@ -71,6 +71,22 @@ class TestDeviceParams:
         with pytest.raises(ConfigurationError):
             DeviceParams(i_run=-1.0, i_sdb=0.4, i_slp=0.2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["i_run", "i_sdb", "i_slp", "i_pd", "i_wu", "t_pd", "t_wu",
+         "t_sdb_to_run", "t_run_to_sdb", "t_be", "v_rail"],
+    )
+    def test_rejects_non_finite_field_by_name(self, name, value):
+        kwargs = {"i_run": 1.0, "i_sdb": 0.4, "i_slp": 0.2, name: value}
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+            DeviceParams(**kwargs)
+
+    @pytest.mark.parametrize("v_rail", [0.0, -12.0])
+    def test_rejects_non_positive_rail(self, v_rail):
+        with pytest.raises(ConfigurationError, match="v_rail must be finite and positive"):
+            DeviceParams(i_run=1.0, i_sdb=0.4, i_slp=0.2, v_rail=v_rail)
+
     def test_state_machine_construction(self, params):
         m = params.state_machine()
         assert m.state is PowerState.STANDBY

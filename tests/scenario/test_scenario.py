@@ -71,6 +71,41 @@ class TestSpecs:
             Scenario.from_dict(data)
         assert "['policy.sigmaa', 'source.storage_capacty']" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("device", "i_pd"), ("device", "i_wu"), ("policy", "active_current_estimate")],
+    )
+    def test_non_finite_value_rejected_by_dotted_path(self, section, key, value):
+        data = get_scenario("exp2-fc-dpm").to_dict()
+        data[section][key] = value
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must be finite"):
+            Scenario.from_dict(data)
+
+    def test_bad_kind_rejected_by_dotted_path(self):
+        data = get_scenario("exp2-fc-dpm").to_dict()
+        data["source"]["sharing"] = "alphabetical"
+        with pytest.raises(ConfigurationError, match=r"^source\.sharing 'alphabetical'"):
+            Scenario.from_dict(data)
+
+    def test_non_finite_spec_values_never_reach_a_result(self):
+        """NaN currents used to run to a ``nan`` fuel figure."""
+        from dataclasses import replace
+
+        from repro.sim.vectorized import simulate_batch
+
+        base = get_scenario("exp2-conv-dpm")
+        nan = float("nan")
+        for build in (
+            lambda: replace(base, device=replace(base.device, i_pd=nan)),
+            lambda: replace(base, device=replace(base.device, i_wu=float("inf"))),
+            lambda: replace(
+                base, policy=replace(base.policy, active_current_estimate=nan)
+            ),
+        ):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                simulate_batch(build(), [1, 2], ["fc-dpm"])
+
     @pytest.mark.parametrize("name", scenario_names())
     def test_registry_scenarios_round_trip(self, name):
         sc = get_scenario(name)

@@ -48,6 +48,98 @@ class TestDocFiles:
         assert f'version = "{repro.__version__}"' in pyproject
 
 
+#: The prose documents whose file references must resolve.
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")
+)
+FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+INLINE = re.compile(r"`([^`]+)`")
+REPO_DIRS = ("examples", "benchmarks", "tests", "scripts")
+#: A repo-relative script path: examples/x.py, benchmarks/e2e/y.py, ...
+REPO_PATH = re.compile(rf"(?<![\w/.])(?:{'|'.join(REPO_DIRS)})/[\w/]*\w\.py\b")
+#: A package-relative module path: core/optimizer.py, sim/vectorized.py.
+MODULE_PATH = re.compile(r"(?<![\w/.])([a-z_]+)/([a-z_]+)\.py\b")
+BENCH_ID = re.compile(r"`((?:ext|robust|future)_\w+)`")
+TREE_ENTRY = re.compile(r"[\w.]+(?:/[\w.]+)*/|[\w/]+\.py")
+
+
+def _code_spans(text: str) -> list[str]:
+    """Fenced blocks plus the inline spans of the text around them."""
+    return FENCE.findall(text) + INLINE.findall(FENCE.sub("", text))
+
+
+def _tree_entries(block: str):
+    """``src/repro/...`` paths named by a file tree in a fenced block.
+
+    Works for box-drawn (``├── core/``) and indented trees alike: an
+    entry's column says which open directory it sits in.  Lines whose
+    first word is neither ``name/`` nor ``name.py`` are descriptions.
+    """
+    lines = block.splitlines()
+    if not lines or lines[0].strip() != "src/repro/":
+        return
+    stack = [(-1, pathlib.PurePosixPath("src/repro"))]
+    for line in lines[1:]:
+        body = line.lstrip(" │├└─")
+        name = body.split(" ", 1)[0]
+        if not name or not TREE_ENTRY.fullmatch(name):
+            continue
+        column = len(line) - len(body)
+        while stack[-1][0] >= column:
+            stack.pop()
+        path = stack[-1][1] / name
+        yield path, name.endswith("/")
+        if name.endswith("/"):
+            stack.append((column, path))
+
+
+class TestDocsTrackCode:
+    """Every file, module and bench a document names must exist."""
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_script_paths_exist(self, name):
+        spans = _code_spans((ROOT / name).read_text())
+        stale = sorted(
+            {p for span in spans for p in REPO_PATH.findall(span) if not (ROOT / p).exists()}
+        )
+        assert not stale, f"{name} names missing files: {stale}"
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_module_paths_exist(self, name):
+        src = ROOT / "src" / "repro"
+        stale = sorted(
+            f"{package}/{module}.py"
+            for span in _code_spans((ROOT / name).read_text())
+            for package, module in MODULE_PATH.findall(span)
+            if package not in REPO_DIRS
+            and not (src / package / f"{module}.py").exists()
+        )
+        assert not stale, f"{name} names missing modules: {stale}"
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_source_tree_entries_exist(self, name):
+        stale = [
+            str(path)
+            for block in FENCE.findall((ROOT / name).read_text())
+            for path, is_dir in _tree_entries(block)
+            if not ((ROOT / path).is_dir() if is_dir else (ROOT / path).is_file())
+        ]
+        assert not stale, f"{name}'s source tree lists missing entries: {stale}"
+
+    def test_experiment_bench_ids_are_emitted(self):
+        rows = [
+            line for line in (ROOT / "EXPERIMENTS.md").read_text().splitlines()
+            if line.startswith("|")
+        ]
+        ids = {bench for row in rows for bench in BENCH_ID.findall(row)}
+        assert ids, "EXPERIMENTS.md lists no ext_/robust_/future_ bench ids"
+        emitted = "".join(
+            p.read_text() for p in (ROOT / "benchmarks").glob("test_bench_*.py")
+        )
+        missing = sorted(b for b in ids if f'"{b}"' not in emitted)
+        assert not missing, f"no bench emits {missing}"
+
+
 class TestDocstrings:
     def test_every_public_module_has_a_docstring(self):
         import importlib
