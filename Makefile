@@ -45,7 +45,7 @@ bench-e2e-test:
 # the bundle (manifest.json + spans.jsonl + trace.json) structurally.
 trace-smoke:
 	$(PYTHON) -m repro.cli run --scenario table2 --trace trace-out/
-	$(PYTHON) scripts/check_trace.py trace-out/
+	$(PYTHON) -m repro.cli trace check trace-out/
 	$(PYTHON) -m repro.cli trace summary trace-out/ > /dev/null
 
 # Orchestration smoke: define two experiments, kill one mid-run with

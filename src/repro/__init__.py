@@ -41,14 +41,12 @@ from .power import (
 )
 from .devices import (
     DeviceParams,
-    DPMDevice,
-    PowerState,
     camcorder_device_params,
     randomized_device_params,
 )
 from .workload import LoadTrace, TaskSlot, generate_mpeg_trace, experiment2_trace
 from .prediction import ExponentialAveragePredictor
-from .dpm import PredictiveShutdownPolicy, TimeoutPolicy
+from .dpm import PredictiveShutdownPolicy
 from .core import (
     SlotProblem,
     SlotSolution,
@@ -83,8 +81,6 @@ __all__ = [
     "SuperCapacitor",
     "LiIonBattery",
     "DeviceParams",
-    "DPMDevice",
-    "PowerState",
     "camcorder_device_params",
     "randomized_device_params",
     "LoadTrace",
@@ -93,7 +89,6 @@ __all__ = [
     "experiment2_trace",
     "ExponentialAveragePredictor",
     "PredictiveShutdownPolicy",
-    "TimeoutPolicy",
     "SlotProblem",
     "SlotSolution",
     "solve_slot",

@@ -1,21 +1,12 @@
-"""Embedded-system substrate: power-state machines and device models."""
+"""Embedded-system substrate: DPM device parameters and the paper's camcorder."""
 
-from .states import PowerState, Transition, PowerStateMachine, break_even_time
-from .device import DPMDevice, DeviceParams
-from .camcorder import (
-    dvd_camcorder,
-    camcorder_device_params,
-    randomized_device_params,
-)
+from .states import break_even_time
+from .device import DeviceParams
+from .camcorder import camcorder_device_params, randomized_device_params
 
 __all__ = [
-    "PowerState",
-    "Transition",
-    "PowerStateMachine",
     "break_even_time",
-    "DPMDevice",
     "DeviceParams",
-    "dvd_camcorder",
     "camcorder_device_params",
     "randomized_device_params",
 ]

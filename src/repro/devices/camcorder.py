@@ -9,7 +9,7 @@ can be put to SLEEP.  The LCD is off throughout the trace.
 from __future__ import annotations
 
 from ..config import CamcorderConstants, Experiment2Constants
-from .device import DeviceParams, DPMDevice
+from .device import DeviceParams
 
 
 def camcorder_device_params(
@@ -64,8 +64,3 @@ def randomized_device_params(
         t_run_to_sdb=cam.t_run_to_standby,
         t_be=e.break_even_time,
     )
-
-
-def dvd_camcorder(constants: CamcorderConstants | None = None) -> DPMDevice:
-    """A ready-to-simulate Experiment-1 camcorder device."""
-    return DPMDevice(camcorder_device_params(constants))

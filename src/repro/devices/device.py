@@ -1,9 +1,8 @@
 """DPM-enabled device model (paper Table 1 parameters).
 
 :class:`DeviceParams` is the bundle of currents and transition overheads
-the optimization framework consumes (Section 3.3.2); :class:`DPMDevice`
-is the stateful device the simulator drives through RUN / STANDBY /
-SLEEP, accounting for transition latency and charge.
+the optimization framework consumes (Section 3.3.2) and the simulators
+turn into RUN / STANDBY / SLEEP load segments.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 from .. import units
 from ..errors import ConfigurationError
-from .states import PowerState, PowerStateMachine, Transition, break_even_time
+from .states import break_even_time
 
 
 @dataclass(frozen=True)
@@ -128,90 +127,3 @@ class DeviceParams:
                 f"{overhead:.3f} s sleep transition"
             )
         return self.sleep_overhead_charge + self.i_slp * (t_idle - overhead)
-
-    def state_machine(self) -> PowerStateMachine:
-        """Materialize the Fig. 6 state machine for this parameter set."""
-        return PowerStateMachine(
-            state_currents={
-                PowerState.RUN: self.i_run,
-                PowerState.STANDBY: self.i_sdb,
-                PowerState.SLEEP: self.i_slp,
-            },
-            transitions=[
-                Transition(
-                    PowerState.STANDBY, PowerState.RUN, self.t_sdb_to_run, self.i_run
-                ),
-                Transition(
-                    PowerState.RUN, PowerState.STANDBY, self.t_run_to_sdb, self.i_run
-                ),
-                Transition(
-                    PowerState.STANDBY, PowerState.SLEEP, self.t_pd, self.i_pd
-                ),
-                Transition(
-                    PowerState.SLEEP, PowerState.STANDBY, self.t_wu, self.i_wu
-                ),
-            ],
-            initial=PowerState.STANDBY,
-        )
-
-
-class DPMDevice:
-    """Stateful three-state device driven by the simulator.
-
-    Tracks cumulative load charge and time per state so simulations can
-    report where the charge went.
-    """
-
-    def __init__(self, params: DeviceParams) -> None:
-        self.params = params
-        self.machine = params.state_machine()
-        self.time_in_state: dict[PowerState, float] = {s: 0.0 for s in PowerState}
-        self.charge_in_state: dict[PowerState, float] = {s: 0.0 for s in PowerState}
-        self.transition_charge = 0.0
-        self.transition_time = 0.0
-        self.n_sleeps = 0
-
-    @property
-    def state(self) -> PowerState:
-        """Present power state."""
-        return self.machine.state
-
-    def dwell(self, dt: float, current: float | None = None) -> float:
-        """Stay in the present state for ``dt`` s; returns charge used.
-
-        ``current`` overrides the state's default draw (RUN current is
-        task dependent).
-        """
-        i = self.machine.current_of(self.state) if current is None else current
-        self.time_in_state[self.state] += dt
-        charge = i * dt
-        self.charge_in_state[self.state] += charge
-        return charge
-
-    def move_to(self, target: PowerState) -> Transition:
-        """Transition to ``target``, accounting overheads; returns the edge."""
-        t = self.machine.move_to(target)
-        self.transition_charge += t.charge
-        self.transition_time += t.delay
-        if target is PowerState.SLEEP:
-            self.n_sleeps += 1
-        return t
-
-    @property
-    def total_charge(self) -> float:
-        """Total load charge so far, states + transitions (A-s)."""
-        return sum(self.charge_in_state.values()) + self.transition_charge
-
-    @property
-    def total_time(self) -> float:
-        """Total wall time so far, states + transitions (s)."""
-        return sum(self.time_in_state.values()) + self.transition_time
-
-    def reset(self) -> None:
-        """Clear counters and return to the initial state."""
-        self.machine.reset()
-        self.time_in_state = {s: 0.0 for s in PowerState}
-        self.charge_in_state = {s: 0.0 for s in PowerState}
-        self.transition_charge = 0.0
-        self.transition_time = 0.0
-        self.n_sleeps = 0

@@ -1,4 +1,4 @@
-"""Power-state machine for DPM-enabled devices (paper Fig. 6, Table 1).
+"""Break-even time of a DPM device's SLEEP state (paper Fig. 6, Table 1).
 
 A DPM device exposes a small set of power states (the paper uses RUN,
 STANDBY, SLEEP) connected by transitions that cost both time and energy.
@@ -9,121 +9,7 @@ low-power state saves energy (Benini et al., paper ref [4]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
-from ..errors import ConfigurationError, RangeError
-
-
-class PowerState(Enum):
-    """The paper's three device power modes."""
-
-    RUN = "run"
-    STANDBY = "standby"
-    SLEEP = "sleep"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-@dataclass(frozen=True)
-class Transition:
-    """A directed state transition with time and current overheads.
-
-    Attributes
-    ----------
-    source, target:
-        Endpoint states.
-    delay:
-        Transition latency (s) during which the device is unavailable.
-    current:
-        Load current drawn during the transition (A) on the 12 V rail.
-    """
-
-    source: PowerState
-    target: PowerState
-    delay: float
-    current: float
-
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ConfigurationError("a transition must change state")
-        if self.delay < 0 or self.current < 0:
-            raise ConfigurationError("transition overheads must be non-negative")
-
-    @property
-    def charge(self) -> float:
-        """Charge consumed by the transition (A-s)."""
-        return self.current * self.delay
-
-
-@dataclass
-class PowerStateMachine:
-    """States, their load currents, and the legal transitions.
-
-    Parameters
-    ----------
-    state_currents:
-        Load current (A) of each state.  RUN current is workload
-        dependent; the value stored here is a default that task slots may
-        override.
-    transitions:
-        Legal directed transitions.
-    initial:
-        Starting state.
-    """
-
-    state_currents: dict[PowerState, float]
-    transitions: list[Transition] = field(default_factory=list)
-    initial: PowerState = PowerState.STANDBY
-
-    def __post_init__(self) -> None:
-        for state, current in self.state_currents.items():
-            if current < 0:
-                raise ConfigurationError(f"{state} current cannot be negative")
-        if self.initial not in self.state_currents:
-            raise ConfigurationError("initial state must have a defined current")
-        self._table: dict[tuple[PowerState, PowerState], Transition] = {}
-        for t in self.transitions:
-            key = (t.source, t.target)
-            if key in self._table:
-                raise ConfigurationError(f"duplicate transition {key}")
-            if t.source not in self.state_currents or t.target not in self.state_currents:
-                raise ConfigurationError(f"transition {key} references unknown state")
-            self._table[key] = t
-        self.state = self.initial
-
-    # -- queries -----------------------------------------------------------
-
-    def current_of(self, state: PowerState) -> float:
-        """Steady-state load current (A) of ``state``."""
-        try:
-            return self.state_currents[state]
-        except KeyError:
-            raise RangeError(f"state {state} not defined") from None
-
-    def transition(self, source: PowerState, target: PowerState) -> Transition:
-        """The transition record from ``source`` to ``target``."""
-        try:
-            return self._table[(source, target)]
-        except KeyError:
-            raise RangeError(f"no transition {source} -> {target}") from None
-
-    def can_transition(self, source: PowerState, target: PowerState) -> bool:
-        """True if the machine defines a ``source -> target`` edge."""
-        return (source, target) in self._table
-
-    # -- dynamics -----------------------------------------------------------
-
-    def move_to(self, target: PowerState) -> Transition:
-        """Execute a transition from the present state; returns its record."""
-        t = self.transition(self.state, target)
-        self.state = target
-        return t
-
-    def reset(self) -> None:
-        """Return to the initial state."""
-        self.state = self.initial
+from ..errors import ConfigurationError
 
 
 def break_even_time(

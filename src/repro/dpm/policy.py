@@ -8,7 +8,7 @@ The paper's slot structure lets every policy be expressed as two hooks:
   history-based policies can learn.
 
 The decision is *committed* at idle start (matching the paper's
-predictive scheme); timeout policies express their waiting period via
+predictive scheme); a policy that waits in STANDBY first says so with
 ``sleep_after``.
 """
 
@@ -32,8 +32,8 @@ class IdleDecision:
         Whether to enter SLEEP at all.
     sleep_after:
         STANDBY dwell (s) before starting the power-down transition
-        (0 for immediate predictive shutdown, the timeout for timeout
-        policies).  Ignored when ``sleep`` is False.
+        (0 for immediate predictive shutdown).  Ignored when ``sleep``
+        is False.
     """
 
     sleep: bool

@@ -174,6 +174,14 @@ class ExperimentSpec:
                 raise ConfigurationError(f"ablation {knob!r} has no values")
         object.__setattr__(self, "ablations", ablations)
         object.__setattr__(self, "extra", _freeze_params(self.extra))
+        # A sweep cell reads its point from one knob; without it every
+        # task would fail at run time, so refuse the spec here.
+        knob = dict(SWEEP_KINDS.values()).get(self.kind)
+        if knob is not None and knob not in knob_names + [k for k, _ in self.extra]:
+            raise ConfigurationError(
+                f"{self.kind} experiment needs a {knob!r} ablation axis "
+                f"or extra param"
+            )
 
     # -- identity ----------------------------------------------------------
 

@@ -24,7 +24,6 @@ from .efficiency import (
 from .fuel import FuelTank, GibbsFuelModel
 from .controller import FanController, OnOffFanController, ProportionalFanController
 from .system import FCSystem
-from .thermal import StackThermalModel, ThermalParams, THERMONEUTRAL_CELL_VOLTAGE
 from .purge import PurgeModel, PurgedFuelModel, calibrated_purge_model, ideal_zeta
 from .sizing import SizingResult, required_fc_output, downsizing_curve
 
@@ -45,9 +44,6 @@ __all__ = [
     "OnOffFanController",
     "ProportionalFanController",
     "FCSystem",
-    "StackThermalModel",
-    "ThermalParams",
-    "THERMONEUTRAL_CELL_VOLTAGE",
     "PurgeModel",
     "PurgedFuelModel",
     "calibrated_purge_model",

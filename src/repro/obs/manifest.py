@@ -13,7 +13,7 @@ a metrics snapshot, and the package versions involved.  One is written
 
 so any number in a table or figure can be traced back to the exact
 configuration that computed it.  The schema is validated by
-:mod:`repro.obs.schema` (and ``scripts/check_trace.py`` in CI).
+:mod:`repro.obs.schema` (and ``fcdpm trace check`` in CI).
 """
 
 from __future__ import annotations

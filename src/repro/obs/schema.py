@@ -4,7 +4,7 @@ Dependency-free structural validation: each ``validate_*`` function
 returns a list of human-readable problem strings (empty = valid), and
 :func:`validate_trace_dir` checks a whole ``--trace`` output directory
 -- the contract ``make trace-smoke`` and CI enforce via
-``scripts/check_trace.py``.  Checks cover field presence and types,
+``fcdpm trace check``.  Checks cover field presence and types,
 schema-version compatibility, span-tree integrity (ids unique, parents
 resolvable, at least one root) and Chrome-trace loadability.
 """

@@ -7,7 +7,7 @@ comparison a first-class plant: the entire load is served from the
 charge-storage element, there is no generator, and the fuel ledger stays
 at zero.  It implements the same
 :class:`~repro.power.source.PowerSource` protocol as the hybrids, so
-both simulators, the recorder, and every metric run unchanged -- the
+the simulator, the recorder, and every metric run unchanged -- the
 deficit ledger becomes the battery's depth-of-discharge overdraw.
 
 Output-current commands are accepted and ignored (there is nothing to

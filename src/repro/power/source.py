@@ -2,7 +2,7 @@
 
 The paper evaluates one fixed plant -- a single FC system plus one
 charge-storage element (:class:`~repro.power.hybrid.HybridPowerSource`).
-Everything downstream of the plant (controllers, both simulators, the
+Everything downstream of the plant (controllers, the simulator, the
 metrics layer) only ever needs four things:
 
 * command an output current (``set_fc_output``),

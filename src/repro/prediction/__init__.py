@@ -4,7 +4,6 @@ from .base import Predictor, ConstantPredictor, LastValuePredictor, PerfectPredi
 from .exponential import ExponentialAveragePredictor
 from .regression import RegressionPredictor
 from .learning_tree import LearningTreePredictor
-from .ensemble import EnsemblePredictor
 
 __all__ = [
     "Predictor",
@@ -14,5 +13,4 @@ __all__ = [
     "ExponentialAveragePredictor",
     "RegressionPredictor",
     "LearningTreePredictor",
-    "EnsemblePredictor",
 ]

@@ -81,6 +81,16 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         _check(self.kind, _WORKLOAD_KINDS, "kind")
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration_s must be finite and positive, got {self.duration_s!r}"
+            )
+        if self.n_slots is not None and not (
+            self.n_slots >= 1 and float(self.n_slots).is_integer()
+        ):
+            raise ConfigurationError(
+                f"n_slots must be an integer >= 1, got {self.n_slots!r}"
+            )
         if not 0 <= self.jitter < 1:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter!r}")
 
@@ -118,6 +128,17 @@ class PolicySpec:
     def __post_init__(self) -> None:
         _check(self.kind, _POLICY_KINDS, "kind")
         _check_finite(self, "active_current_estimate")
+        # The predictors' smoothing range and the ASAP controller's
+        # threshold range, checked for every kind so a value no run
+        # would accept is refused whichever policy the spec names.
+        for name in ("rho", "sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigurationError(f"{name} must be in [0, 1), got {value!r}")
+        if not 0 <= self.recharge_threshold <= 1:
+            raise ConfigurationError(
+                f"recharge_threshold must be in [0, 1], got {self.recharge_threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -143,6 +164,16 @@ class SourceSpec:
         if self.kind == "multi-stack" and self.n_stacks < 1:
             raise ConfigurationError(
                 f"n_stacks must be >= 1 for a multi-stack source, got {self.n_stacks!r}"
+            )
+        # The storage element's own ranges, written so NaN fails too.
+        if not self.storage_capacity > 0:
+            raise ConfigurationError(
+                f"storage_capacity must be positive, got {self.storage_capacity!r}"
+            )
+        if not 0 <= self.storage_initial <= self.storage_capacity:
+            raise ConfigurationError(
+                f"storage_initial must be in [0, storage_capacity], "
+                f"got {self.storage_initial!r}"
             )
 
     def build_storage(self) -> ChargeStorage:

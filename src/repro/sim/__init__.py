@@ -1,4 +1,4 @@
-"""Simulation substrate: slot-level and event-driven trace simulators."""
+"""Simulation substrate: the slot-level oracle and its array kernels."""
 
 from .recorder import Recorder, Sample
 from .integrator import (
@@ -22,8 +22,6 @@ from .slotsim import (
     SlotResult,
     simulate_policies,
 )
-from .engine import Engine, Event
-from .eventsim import EventDrivenSimulator
 from .montecarlo import (
     SeedSummary,
     run_seeds,
@@ -31,7 +29,7 @@ from .montecarlo import (
     summarize,
     table2_metrics,
 )
-from .faults import DegradedEfficiency, FadedStorage, NoisyPredictor
+from .faults import DegradedEfficiency
 from .lifetime import LifetimeResult, lifetime_comparison, run_until_empty
 from .vectorized import (
     TraceArrays,
@@ -60,17 +58,12 @@ __all__ = [
     "SlotResult",
     "SlotColumns",
     "simulate_policies",
-    "Engine",
-    "Event",
-    "EventDrivenSimulator",
     "SeedSummary",
     "run_seeds",
     "scenario_metrics",
     "summarize",
     "table2_metrics",
     "DegradedEfficiency",
-    "FadedStorage",
-    "NoisyPredictor",
     "LifetimeResult",
     "lifetime_comparison",
     "run_until_empty",

@@ -1,29 +1,16 @@
-"""Failure injection: degrade components and watch policies cope.
+"""Failure injection: degrade the fuel cell and watch policies cope.
 
-Three fault families the hybrid source can realistically develop, each
-implemented as a wrapper that the standard simulators accept unchanged:
-
-* :class:`DegradedEfficiency` -- FC stack aging: the whole efficiency
-  curve scales down by a health factor (membrane degradation,
-  catalyst loss);
-* :class:`FadedStorage` -- supercapacitor capacity fade: usable
-  capacity shrinks mid-run at a configured time;
-* :class:`NoisyPredictor` -- sensing corruption: observed period
-  lengths reach the predictor with multiplicative noise and dropouts.
-
-The fault-injection tests assert *graceful degradation*: fuel rises
-smoothly with damage, conservation still holds, and FC-DPM keeps
-beating the baselines under every fault.
+:class:`DegradedEfficiency` models FC stack aging: the whole efficiency
+curve scales down by a health factor (membrane degradation, catalyst
+loss).  It is a wrapper the standard simulators accept unchanged.  The
+fault-injection tests assert *graceful degradation*: fuel rises
+smoothly with damage and FC-DPM keeps beating ASAP.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..fuelcell.efficiency import SystemEfficiencyModel
-from ..power.storage import ChargeStorage
-from ..prediction.base import Predictor
 
 
 class DegradedEfficiency(SystemEfficiencyModel):
@@ -43,99 +30,3 @@ class DegradedEfficiency(SystemEfficiencyModel):
 
     def efficiency(self, i_f: float) -> float:
         return self.health * self.base.efficiency(i_f)
-
-
-class FadedStorage(ChargeStorage):
-    """Storage whose capacity collapses to a fraction at ``fade_time``.
-
-    Wraps any :class:`ChargeStorage`; before ``fade_time`` (measured in
-    cumulative stepped seconds) behaves identically, after it the
-    capacity is ``fade_factor * capacity`` and any excess charge is
-    bled.
-    """
-
-    def __init__(
-        self,
-        inner: ChargeStorage,
-        fade_time: float,
-        fade_factor: float,
-    ) -> None:
-        if fade_time < 0:
-            raise ConfigurationError("fade time cannot be negative")
-        if not 0 < fade_factor <= 1:
-            raise ConfigurationError("fade factor must be in (0, 1]")
-        super().__init__(capacity=inner.capacity, initial_charge=inner.charge)
-        self.inner = inner
-        self.fade_time = fade_time
-        self.fade_factor = fade_factor
-        self._elapsed = 0.0
-        self._faded = False
-
-    def _maybe_fade(self) -> None:
-        if not self._faded and self._elapsed >= self.fade_time:
-            self._faded = True
-            new_cap = self.inner.capacity * self.fade_factor
-            if self.inner.charge > new_cap:
-                self.inner.bled_charge += self.inner.charge - new_cap
-                self.inner._charge = new_cap
-            self.inner.capacity = new_cap
-            self.capacity = new_cap
-
-    def step(self, current: float, dt: float, *, strict: bool = False) -> float:
-        self._elapsed += dt
-        self._maybe_fade()
-        delta = self.inner.step(current, dt, strict=strict)
-        self._charge = self.inner.charge
-        self.bled_charge = self.inner.bled_charge
-        self.deficit_charge = self.inner.deficit_charge
-        return delta
-
-    @property
-    def has_faded(self) -> bool:
-        """True once the fade event fired."""
-        return self._faded
-
-    def reset(self, charge: float = 0.0) -> None:
-        self.inner.reset(charge)
-        super().reset(min(charge, self.capacity))
-        self._elapsed = 0.0
-
-
-class NoisyPredictor(Predictor):
-    """Corrupt the observations feeding a base predictor.
-
-    Each observed length is scaled by lognormal noise; with probability
-    ``dropout`` the observation is lost entirely (the predictor never
-    hears about that period).  Predictions pass through untouched --
-    this models sensing/instrumentation faults, not estimator bugs.
-    """
-
-    def __init__(
-        self,
-        base: Predictor,
-        sigma: float = 0.3,
-        dropout: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        super().__init__()
-        if sigma < 0:
-            raise ConfigurationError("noise sigma cannot be negative")
-        if not 0 <= dropout < 1:
-            raise ConfigurationError("dropout must be in [0, 1)")
-        self.base = base
-        self.sigma = sigma
-        self.dropout = dropout
-        self._rng = np.random.default_rng(seed)
-
-    def predict(self) -> float:
-        return self._remember(self.base.predict())
-
-    def _update(self, actual: float) -> None:
-        if self.dropout and self._rng.random() < self.dropout:
-            return
-        noisy = actual * float(np.exp(self._rng.normal(0.0, self.sigma)))
-        self.base.observe(noisy)
-
-    def reset(self) -> None:
-        super().reset()
-        self.base.reset()

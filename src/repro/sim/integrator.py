@@ -1,26 +1,27 @@
-"""Shared per-segment integration core for both trace simulators.
+"""Shared segment layout and per-segment integration for every route.
 
-The slot-level simulator (:mod:`repro.sim.slotsim`) and the event-driven
-simulator (:mod:`repro.sim.eventsim`) schedule work completely
-differently -- closed-form slot iteration vs a calendar-queue engine --
-and that independence is deliberate: their agreeing fuel totals is the
-repository's strongest internal cross-check.  What they must *not* do is
-re-implement the ledger math.  This module owns the single copy of
+The slot-level simulator (:mod:`repro.sim.slotsim`, the reference
+oracle) and the array kernels (:mod:`repro.sim.vectorized`,
+:mod:`repro.sim.stacked`) must not re-implement the ledger math.  This
+module owns the single copy of
 
 * the segment layout rules (how an idle period decomposes into
   standby / power-down / sleep / wake-up segments, and how STANDBY<->RUN
   overheads are absorbed into the active period -- the timeline
   convention documented in DESIGN.md), once per slot for the scalar
-  simulators and once per slot *array* (:func:`plan_slot_arrays`) for
-  the kernels in :mod:`repro.sim.vectorized` / :mod:`repro.sim.stacked`,
-  and
+  simulator and once per slot *array* (:func:`plan_slot_arrays`) for
+  the kernels, and
 * the per-segment integration step (build the
   :class:`~repro.core.baselines.SegmentContext`, ask the controller for
   an output current, command the :class:`~repro.power.source.PowerSource`,
   integrate one interval, feed the recorder).
 
-Each simulator decides *when* a segment executes; the
-:class:`SegmentIntegrator` decides what executing it means.
+The simulator decides *when* a segment executes; the
+:class:`SegmentIntegrator` decides what executing it means.  Because
+every route shares these rules, the ledger property in
+``tests/properties/test_property_sources.py`` checks the booked load
+against device books computed from
+:class:`~repro.devices.device.DeviceParams` alone.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ keeping slots equal-length lets all policies run the same wall clock).
 The STANDBY<->RUN transitions are absorbed into the active period at the
 slot's active current, as the paper does (Section 3.3.2, assumption 2).
 
-The segment layout and integration math live in
-:mod:`repro.sim.integrator`, shared with the event-driven simulator;
+:class:`SlotSimulator` is the repository's reference oracle: the array
+kernels in :mod:`repro.sim.vectorized` must equal it bit for bit.  The
+segment layout and integration math live in :mod:`repro.sim.integrator`;
 this module only owns the closed-form slot scheduling.
 """
 
@@ -155,7 +156,7 @@ class SimulationResult:
     #: ``tau_WU``; DPM's energy/latency trade-off made explicit (the
     #: paper accounts the charge but not the delay).
     wakeup_latency: float = 0.0
-    #: Per-slot outcomes: a list from the scalar simulators, a lazy
+    #: Per-slot outcomes: a list from the scalar simulator, a lazy
     #: :class:`SlotColumns` view from the array kernels (equal with ``==``).
     slots: Sequence[SlotResult] = field(default_factory=list)
     recorder: Recorder | None = None

@@ -1,6 +1,6 @@
 """Vectorized trace simulation: ``simulate_fast`` / ``simulate_batch``.
 
-The scalar simulators execute one Python call chain per segment
+The scalar simulator executes one Python call chain per segment
 (``SegmentIntegrator.integrate`` -> ``PowerSource.step`` ->
 ``ChargeStorage.step``), allocating a frozen ``SourceStep`` each time.
 For the paper's piecewise-constant traces the whole run is really three

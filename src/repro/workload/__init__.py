@@ -1,7 +1,6 @@
 """Load profiles: task-slot traces and their generators."""
 
 from .trace import TaskSlot, LoadTrace
-from .builder import TraceBuilder
 from .mpeg import MpegEncoderModel, generate_mpeg_trace
 from .wlan import WlanModel, generate_wlan_trace
 from .synthetic import (
@@ -14,7 +13,6 @@ from .synthetic import (
 
 __all__ = [
     "TaskSlot",
-    "TraceBuilder",
     "LoadTrace",
     "MpegEncoderModel",
     "generate_mpeg_trace",

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.devices.camcorder import (
-    camcorder_device_params,
-    dvd_camcorder,
-    randomized_device_params,
-)
+from repro.devices.camcorder import camcorder_device_params, randomized_device_params
 
 
 class TestExperiment1Params:
@@ -25,10 +21,6 @@ class TestExperiment1Params:
 
     def test_break_even_is_1s(self):
         assert camcorder_device_params().break_even == pytest.approx(1.0)
-
-    def test_device_factory(self):
-        dev = dvd_camcorder()
-        assert dev.params.i_run == pytest.approx(14.65 / 12)
 
 
 class TestExperiment2Params:

@@ -1,9 +1,8 @@
-"""DeviceParams and DPMDevice tests."""
+"""DeviceParams tests."""
 
 import pytest
 
-from repro.devices.device import DeviceParams, DPMDevice
-from repro.devices.states import PowerState
+from repro.devices.device import DeviceParams
 from repro.errors import ConfigurationError
 
 
@@ -86,48 +85,3 @@ class TestDeviceParams:
     def test_rejects_non_positive_rail(self, v_rail):
         with pytest.raises(ConfigurationError, match="v_rail must be finite and positive"):
             DeviceParams(i_run=1.0, i_sdb=0.4, i_slp=0.2, v_rail=v_rail)
-
-    def test_state_machine_construction(self, params):
-        m = params.state_machine()
-        assert m.state is PowerState.STANDBY
-        assert m.current_of(PowerState.RUN) == params.i_run
-        assert m.transition(PowerState.STANDBY, PowerState.SLEEP).delay == 0.5
-
-
-class TestDPMDevice:
-    def test_dwell_accumulates(self, params):
-        dev = DPMDevice(params)
-        charge = dev.dwell(10.0)
-        assert charge == pytest.approx(params.i_sdb * 10)
-        assert dev.time_in_state[PowerState.STANDBY] == 10.0
-
-    def test_dwell_with_override_current(self, params):
-        dev = DPMDevice(params)
-        dev.machine.state = PowerState.RUN
-        assert dev.dwell(3.0, current=1.3) == pytest.approx(3.9)
-
-    def test_sleep_roundtrip_counts(self, params):
-        dev = DPMDevice(params)
-        dev.move_to(PowerState.SLEEP)
-        dev.dwell(9.0)
-        dev.move_to(PowerState.STANDBY)
-        assert dev.n_sleeps == 1
-        assert dev.transition_charge == pytest.approx(0.4)
-        assert dev.transition_time == pytest.approx(1.0)
-
-    def test_total_charge(self, params):
-        dev = DPMDevice(params)
-        dev.dwell(10.0)
-        dev.move_to(PowerState.SLEEP)
-        dev.dwell(5.0)
-        expected = params.i_sdb * 10 + 0.2 + params.i_slp * 5
-        assert dev.total_charge == pytest.approx(expected)
-
-    def test_reset(self, params):
-        dev = DPMDevice(params)
-        dev.dwell(10.0)
-        dev.move_to(PowerState.SLEEP)
-        dev.reset()
-        assert dev.state is PowerState.STANDBY
-        assert dev.total_charge == 0.0
-        assert dev.n_sleeps == 0

@@ -1,90 +1,9 @@
-"""Power-state machine and break-even-time tests."""
+"""Break-even-time tests."""
 
 import pytest
 
-from repro.devices.states import (
-    PowerState,
-    PowerStateMachine,
-    Transition,
-    break_even_time,
-)
-from repro.errors import ConfigurationError, RangeError
-
-
-def make_machine() -> PowerStateMachine:
-    return PowerStateMachine(
-        state_currents={
-            PowerState.RUN: 1.22,
-            PowerState.STANDBY: 0.403,
-            PowerState.SLEEP: 0.2,
-        },
-        transitions=[
-            Transition(PowerState.STANDBY, PowerState.RUN, 1.5, 1.22),
-            Transition(PowerState.RUN, PowerState.STANDBY, 0.5, 1.22),
-            Transition(PowerState.STANDBY, PowerState.SLEEP, 0.5, 0.4),
-            Transition(PowerState.SLEEP, PowerState.STANDBY, 0.5, 0.4),
-        ],
-    )
-
-
-class TestTransition:
-    def test_charge(self):
-        t = Transition(PowerState.STANDBY, PowerState.SLEEP, 0.5, 0.4)
-        assert t.charge == pytest.approx(0.2)
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ConfigurationError):
-            Transition(PowerState.RUN, PowerState.RUN, 0.5, 0.4)
-
-    def test_rejects_negative_overheads(self):
-        with pytest.raises(ConfigurationError):
-            Transition(PowerState.RUN, PowerState.STANDBY, -0.5, 0.4)
-
-
-class TestMachine:
-    def test_initial_state(self):
-        assert make_machine().state is PowerState.STANDBY
-
-    def test_move_and_reset(self):
-        m = make_machine()
-        t = m.move_to(PowerState.SLEEP)
-        assert m.state is PowerState.SLEEP
-        assert t.delay == 0.5
-        m.reset()
-        assert m.state is PowerState.STANDBY
-
-    def test_illegal_transition_rejected(self):
-        m = make_machine()
-        m.move_to(PowerState.SLEEP)
-        with pytest.raises(RangeError):
-            m.move_to(PowerState.RUN)  # no SLEEP -> RUN edge
-
-    def test_can_transition(self):
-        m = make_machine()
-        assert m.can_transition(PowerState.STANDBY, PowerState.RUN)
-        assert not m.can_transition(PowerState.SLEEP, PowerState.RUN)
-
-    def test_current_of(self):
-        assert make_machine().current_of(PowerState.SLEEP) == 0.2
-
-    def test_duplicate_transition_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerStateMachine(
-                state_currents={PowerState.RUN: 1.0, PowerState.STANDBY: 0.4},
-                transitions=[
-                    Transition(PowerState.STANDBY, PowerState.RUN, 1.0, 1.0),
-                    Transition(PowerState.STANDBY, PowerState.RUN, 2.0, 1.0),
-                ],
-            )
-
-    def test_unknown_state_in_transition_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerStateMachine(
-                state_currents={PowerState.STANDBY: 0.4},
-                transitions=[
-                    Transition(PowerState.STANDBY, PowerState.SLEEP, 1.0, 0.2)
-                ],
-            )
+from repro.devices.states import break_even_time
+from repro.errors import ConfigurationError
 
 
 class TestBreakEven:

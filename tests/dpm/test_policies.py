@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.devices.camcorder import camcorder_device_params, randomized_device_params
-from repro.dpm.always import AlwaysOnPolicy, AlwaysSleepPolicy
-from repro.dpm.breakeven import sleep_saving, worst_case_competitive_timeout
-from repro.dpm.oracle import OraclePolicy
+from repro.devices.camcorder import camcorder_device_params
 from repro.dpm.policy import IdleDecision
 from repro.dpm.predictive import PredictiveShutdownPolicy
-from repro.dpm.timeout import TimeoutPolicy
-from repro.errors import ConfigurationError, RangeError
+from repro.errors import ConfigurationError
 from repro.prediction.exponential import ExponentialAveragePredictor
 
 
@@ -22,48 +18,6 @@ class TestIdleDecision:
     def test_rejects_negative_delay(self):
         with pytest.raises(ConfigurationError):
             IdleDecision(sleep=True, sleep_after=-1.0)
-
-
-class TestBreakEvenHelpers:
-    def test_sleep_saving_positive_above_tbe(self, params):
-        assert sleep_saving(params, 10.0) > 0
-
-    def test_sleep_saving_negative_below_tbe(self):
-        # Exp-2 overheads: sleeping a 5 s idle wastes charge (Tbe = 10 s).
-        p = randomized_device_params()
-        assert sleep_saving(p, 5.0) < 0
-
-    def test_sleep_saving_zero_when_infeasible(self, params):
-        assert sleep_saving(params, 0.5) == 0.0
-
-    def test_sleep_saving_rejects_negative(self, params):
-        with pytest.raises(RangeError):
-            sleep_saving(params, -1.0)
-
-    def test_competitive_timeout_is_break_even(self, params):
-        assert worst_case_competitive_timeout(params) == params.break_even
-
-
-class TestTimeoutPolicy:
-    def test_defaults_to_break_even(self, params):
-        policy = TimeoutPolicy(params)
-        d = policy.on_idle_start()
-        assert d.sleep and d.sleep_after == params.break_even
-
-    def test_explicit_timeout(self, params):
-        policy = TimeoutPolicy(params, timeout=5.0)
-        assert policy.on_idle_start().sleep_after == 5.0
-
-    def test_rejects_negative_timeout(self, params):
-        with pytest.raises(ConfigurationError):
-            TimeoutPolicy(params, timeout=-1.0)
-
-    def test_counters(self, params):
-        policy = TimeoutPolicy(params)
-        for _ in range(3):
-            policy.on_idle_start()
-        assert policy.n_decisions == 3
-        assert policy.sleep_rate == 1.0
 
 
 class TestPredictiveShutdown:
@@ -111,37 +65,14 @@ class TestPredictiveShutdown:
         assert policy.n_decisions == 0
         assert policy.predictor.estimate == 0.0
 
-
-class TestOracle:
-    def test_sleeps_only_when_profitable(self, params):
-        policy = OraclePolicy(params)
-        policy.prime(20.0)
-        assert policy.on_idle_start().sleep
-        policy.prime(0.8)
-        assert not policy.on_idle_start().sleep
-
-    def test_requires_prime(self, params):
-        with pytest.raises(ConfigurationError):
-            OraclePolicy(params).on_idle_start()
-
-    def test_prime_consumed(self, params):
-        policy = OraclePolicy(params)
-        policy.prime(20.0)
-        policy.on_idle_start()
-        with pytest.raises(ConfigurationError):
+    def test_counters(self, params):
+        policy = PredictiveShutdownPolicy(
+            params, ExponentialAveragePredictor(factor=0.5, initial=10.0)
+        )
+        for _ in range(3):
             policy.on_idle_start()
-
-
-class TestDegenerate:
-    def test_always_on(self, params):
-        policy = AlwaysOnPolicy(params)
-        assert not policy.on_idle_start().sleep
-        assert policy.sleep_rate == 0.0
-
-    def test_always_sleep(self, params):
-        policy = AlwaysSleepPolicy(params)
-        assert policy.on_idle_start().sleep
+        assert policy.n_decisions == 3
         assert policy.sleep_rate == 1.0
 
     def test_sleep_rate_empty(self, params):
-        assert AlwaysOnPolicy(params).sleep_rate == 0.0
+        assert PredictiveShutdownPolicy(params).sleep_rate == 0.0

@@ -42,6 +42,20 @@ class TestValidation:
             ExperimentSpec(name="x", kind="sweep.storage",
                            ablations=(("capacity", ()),))
 
+    @pytest.mark.parametrize(
+        "kind, knob",
+        [("sweep.storage", "capacity"), ("sweep.beta", "beta"),
+         ("sweep.recharge", "threshold"), ("sweep.predictor", "predictor")],
+    )
+    def test_sweep_kind_needs_its_knob(self, kind, knob):
+        with pytest.raises(ConfigurationError, match=f"needs a '{knob}'"):
+            ExperimentSpec(name="x", kind=kind)
+        with pytest.raises(ConfigurationError, match=f"needs a '{knob}'"):
+            ExperimentSpec(name="x", kind=kind, ablations=(("other", (0.1, 0.2)),))
+        # The knob may come from an ablation axis or from ``extra``.
+        assert ExperimentSpec(name="x", kind=kind, ablations=((knob, (1,)),)).n_tasks == 1
+        assert ExperimentSpec(name="x", kind=kind, extra=((knob, 1),)).n_tasks == 1
+
     def test_needs_a_seed(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
             ExperimentSpec(name="x", kind="scenario", seeds=())

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prediction.base import ConstantPredictor, LastValuePredictor
-from repro.prediction.ensemble import EnsemblePredictor
+from repro.prediction.base import LastValuePredictor
 from repro.prediction.exponential import (
     ExponentialAveragePredictor,
     exponential_average_scan,
@@ -24,9 +23,6 @@ FACTORIES = [
     lambda: LastValuePredictor(initial=1.0),
     lambda: RegressionPredictor(order=2, window=16),
     lambda: LearningTreePredictor(bin_edges=[5.0, 20.0, 100.0], depth=2),
-    lambda: EnsemblePredictor(
-        [ExponentialAveragePredictor(factor=0.5), ConstantPredictor(10.0)]
-    ),
 ]
 
 

@@ -1,14 +1,19 @@
-"""Property: both simulators agree for every PowerSource implementation.
+"""Property: every simulation route keeps consistent books for every source.
 
-The slot-level and event-driven simulators schedule work completely
-differently; their fuel/charge ledgers agreeing on identical traces is
-the repository's strongest internal cross-check.  The pluggable-source
-refactor must preserve that property for *every* plant -- the paper's
-single-stack hybrid, multi-stack gangs under both sharing rules, and
-the battery-only contrast source -- on randomized traces.
+A run's totals, its per-slot rows and the storage's end state are three
+ledgers of the same charge.  They must balance for *every* plant -- the
+paper's single-stack hybrid, multi-stack gangs under both sharing rules,
+and the battery-only contrast source -- on randomized traces, on both
+the scalar oracle and ``simulate_fast`` (the array kernel where it is
+eligible).  The load is also checked against device books computed
+outside the integrator from :class:`~repro.devices.device.DeviceParams`
+alone, so a segment planner that books a transition at the wrong
+current fails here even though every route shares that planner.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +31,8 @@ from repro.power.multistack import (
     MultiStackHybrid,
 )
 from repro.power.storage import SuperCapacitor
-from repro.sim.eventsim import EventDrivenSimulator
 from repro.sim.slotsim import SlotSimulator
+from repro.sim.vectorized import simulate_fast
 from repro.workload.trace import LoadTrace, TaskSlot
 
 SOURCE_KINDS = ("hybrid", "multi-stack-2-equal", "multi-stack-3-eff", "battery")
@@ -93,27 +98,56 @@ slot_lists = st.lists(
 )
 
 
+def _run(route: str, mgr: PowerManager, trace: LoadTrace):
+    if route == "scalar":
+        return SlotSimulator(mgr, max_deficit_fraction=1e9).run(trace)
+    return simulate_fast(mgr, trace, max_deficit_fraction=1e9)
+
+
+def _device_load(device, trace: LoadTrace, slots) -> float:
+    """The run's load charge from the device parameters alone (A-s)."""
+    return math.fsum(
+        device.idle_charge(slot.t_idle, row.slept)
+        + slot.i_active * (device.t_sdb_to_run + slot.t_active + device.t_run_to_sdb)
+        for slot, row in zip(trace, slots)
+    )
+
+
 class TestSimulatorAgreement:
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     @given(slots=slot_lists)
     @settings(max_examples=15, deadline=None)
     def test_fuel_ledgers_agree_for_every_source(self, kind, slots):
         trace = _trace(slots)
-        # Fresh manager per simulator: both must see identical state.
-        slot_result = SlotSimulator(
-            _manager(kind), max_deficit_fraction=1e9
-        ).run(trace)
-        event_result = EventDrivenSimulator(_manager(kind)).run(trace)
+        for route in ("scalar", "fast"):
+            # Fresh manager per route: each must start from the same state.
+            mgr = _manager(kind)
+            storage_initial = mgr.source.storage.charge
+            result = _run(route, mgr, trace)
+            device = mgr.device
+            rows = result.slots
+            assert len(rows) == len(trace), route
 
-        assert event_result.fuel == pytest.approx(slot_result.fuel, rel=1e-12)
-        assert event_result.load_charge == pytest.approx(
-            slot_result.load_charge, rel=1e-12
-        )
-        assert event_result.bled == pytest.approx(
-            slot_result.bled, rel=1e-12, abs=1e-12
-        )
-        assert event_result.deficit == pytest.approx(
-            slot_result.deficit, rel=1e-12, abs=1e-12
-        )
-        assert event_result.n_sleeps == slot_result.n_sleeps
-        assert event_result.duration == pytest.approx(slot_result.duration)
+            assert result.fuel == pytest.approx(
+                math.fsum(r.fuel for r in rows), rel=1e-12, abs=1e-12
+            ), route
+            assert result.load_charge == pytest.approx(
+                math.fsum(r.load_charge for r in rows), rel=1e-12
+            ), route
+            # Section-3 charge balance: what the FC delivered beyond the
+            # load went into storage, the bleeder, or covered a deficit.
+            assert result.delivered_charge - result.load_charge == pytest.approx(
+                rows[-1].storage_end - storage_initial + result.bled - result.deficit,
+                rel=0,
+                abs=1e-10,
+            ), route
+            assert result.load_charge == pytest.approx(
+                _device_load(device, trace, rows), rel=1e-12
+            ), route
+            assert result.duration == pytest.approx(
+                math.fsum(
+                    s.t_idle + s.t_active + device.t_sdb_to_run + device.t_run_to_sdb
+                    for s in trace
+                ),
+                rel=1e-12,
+            ), route

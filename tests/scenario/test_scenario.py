@@ -82,6 +82,33 @@ class TestSpecs:
         with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must be finite"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("policy", "rho", float("nan"), r"must be in \[0, 1\), got nan"),
+            ("policy", "rho", 1.5, r"must be in \[0, 1\), got 1\.5"),
+            ("policy", "sigma", float("nan"), r"must be in \[0, 1\), got nan"),
+            ("policy", "sigma", 1.5, r"must be in \[0, 1\), got 1\.5"),
+            ("policy", "recharge_threshold", float("nan"), r"must be in \[0, 1\], got nan"),
+            ("policy", "recharge_threshold", 7.0, r"must be in \[0, 1\], got 7\.0"),
+            ("source", "storage_capacity", float("nan"), "must be positive, got nan"),
+            ("source", "storage_capacity", -1.0, "must be positive, got -1"),
+            ("source", "storage_initial", float("nan"), "must be in .*, got nan"),
+            ("source", "storage_initial", -1.0, "must be in .*, got -1"),
+            ("source", "storage_initial", 9.0, "must be in .*, got 9"),
+            ("workload", "duration_s", float("nan"), "must be finite and positive, got nan"),
+            ("workload", "duration_s", float("inf"), "must be finite and positive, got inf"),
+            ("workload", "duration_s", 0.0, "must be finite and positive, got 0"),
+            ("workload", "n_slots", -3, "must be an integer >= 1, got -3"),
+            ("workload", "n_slots", 2.5, "must be an integer >= 1, got 2.5"),
+        ],
+    )
+    def test_out_of_range_value_rejected_by_dotted_path(self, section, key, value, message):
+        data = get_scenario("exp2-fc-dpm").to_dict()
+        data[section][key] = value
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} {message}"):
+            Scenario.from_dict(data)
+
     def test_bad_kind_rejected_by_dotted_path(self):
         data = get_scenario("exp2-fc-dpm").to_dict()
         data["source"]["sharing"] = "alphabetical"

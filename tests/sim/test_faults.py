@@ -6,9 +6,7 @@ from repro.core.manager import PowerManager
 from repro.devices.camcorder import camcorder_device_params
 from repro.errors import ConfigurationError
 from repro.fuelcell.efficiency import LinearSystemEfficiency
-from repro.power.storage import SuperCapacitor
-from repro.prediction.exponential import ExponentialAveragePredictor
-from repro.sim.faults import DegradedEfficiency, FadedStorage, NoisyPredictor
+from repro.sim.faults import DegradedEfficiency
 from repro.sim.slotsim import SlotSimulator, simulate_policies
 from repro.workload.mpeg import generate_mpeg_trace
 
@@ -58,105 +56,3 @@ class TestDegradedEfficiency:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DegradedEfficiency(LinearSystemEfficiency(), health=0.0)
-
-
-class TestFadedStorage:
-    def test_identical_before_fade(self):
-        inner = SuperCapacitor(capacity=6.0, initial_charge=3.0)
-        faded = FadedStorage(inner, fade_time=100.0, fade_factor=0.5)
-        faded.step(+0.5, 4.0)
-        assert faded.charge == pytest.approx(5.0)
-        assert not faded.has_faded
-
-    def test_fade_shrinks_capacity_and_bleeds_excess(self):
-        inner = SuperCapacitor(capacity=6.0, initial_charge=5.0)
-        faded = FadedStorage(inner, fade_time=10.0, fade_factor=0.5)
-        faded.step(0.0, 11.0)
-        assert faded.has_faded
-        assert faded.capacity == pytest.approx(3.0)
-        assert faded.charge == pytest.approx(3.0)
-        assert faded.bled_charge == pytest.approx(2.0)
-
-    def test_simulation_survives_midrun_fade(self, trace, dev):
-        inner = SuperCapacitor(capacity=6.0, initial_charge=3.0)
-        mgr = PowerManager.fc_dpm(
-            dev, storage=FadedStorage(inner, fade_time=200.0, fade_factor=0.5)
-        )
-        result = SlotSimulator(mgr).run(trace)
-        assert result.deficit < 0.05 * result.load_charge
-        assert mgr.source.storage.has_faded
-
-    def test_fade_costs_fuel(self, trace, dev):
-        def run(storage):
-            mgr = PowerManager.fc_dpm(dev, storage=storage)
-            return SlotSimulator(mgr).run(trace).fuel
-
-        healthy = run(SuperCapacitor(capacity=6.0, initial_charge=3.0))
-        faded = run(
-            FadedStorage(
-                SuperCapacitor(capacity=6.0, initial_charge=3.0),
-                fade_time=100.0,
-                fade_factor=0.3,
-            )
-        )
-        assert faded >= healthy - 1e-6
-
-    def test_validation(self):
-        inner = SuperCapacitor(capacity=6.0)
-        with pytest.raises(ConfigurationError):
-            FadedStorage(inner, fade_time=-1.0, fade_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            FadedStorage(inner, fade_time=1.0, fade_factor=0.0)
-
-
-class TestNoisyPredictor:
-    def test_prediction_passes_through(self):
-        base = ExponentialAveragePredictor(factor=0.5, initial=7.0)
-        noisy = NoisyPredictor(base, sigma=0.3)
-        assert noisy.predict() == 7.0
-
-    def test_dropout_blocks_learning(self):
-        base = ExponentialAveragePredictor(factor=0.5)
-        noisy = NoisyPredictor(base, sigma=0.0, dropout=0.999999, seed=1)
-        for _ in range(50):
-            noisy.observe(10.0)
-        assert base.estimate == pytest.approx(0.0)
-
-    def test_zero_noise_transparent(self):
-        base = ExponentialAveragePredictor(factor=0.5)
-        noisy = NoisyPredictor(base, sigma=0.0, dropout=0.0)
-        noisy.observe(10.0)
-        assert base.estimate == pytest.approx(5.0)
-
-    def test_policy_degrades_gracefully_under_noise(self, trace, dev):
-        """Sensing corruption must cost fuel, not correctness."""
-        from repro.core.fc_dpm import FCDPMController
-        from repro.dpm.predictive import PredictiveShutdownPolicy
-
-        def run(sigma: float) -> float:
-            base = ExponentialAveragePredictor(factor=0.5)
-            predictor = NoisyPredictor(base, sigma=sigma, seed=7)
-            mgr = PowerManager.fc_dpm(dev, storage_capacity=6.0,
-                                      storage_initial=3.0)
-            mgr.policy = PredictiveShutdownPolicy(dev, predictor)
-            controller = FCDPMController(
-                LinearSystemEfficiency(),
-                idle_length_predictor=predictor,
-                device=dev,
-            )
-            controller.observes_idle = False
-            mgr.controller = controller
-            result = SlotSimulator(mgr, max_deficit_fraction=1.0).run(trace)
-            assert result.deficit < 0.05 * result.load_charge
-            return result.fuel
-
-        clean = run(0.0)
-        noisy = run(0.8)
-        assert noisy < clean * 1.25  # bounded degradation
-
-    def test_validation(self):
-        base = ExponentialAveragePredictor()
-        with pytest.raises(ConfigurationError):
-            NoisyPredictor(base, sigma=-0.1)
-        with pytest.raises(ConfigurationError):
-            NoisyPredictor(base, dropout=1.0)

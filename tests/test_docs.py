@@ -1,5 +1,7 @@
 """Documentation health tests: the docs must track the code."""
 
+import ast
+import importlib
 import pathlib
 import re
 
@@ -53,6 +55,7 @@ DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
     f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")
 )
 FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+PYTHON_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 INLINE = re.compile(r"`([^`]+)`")
 REPO_DIRS = ("examples", "benchmarks", "tests", "scripts")
 #: A repo-relative script path: examples/x.py, benchmarks/e2e/y.py, ...
@@ -93,6 +96,38 @@ def _tree_entries(block: str):
             stack.append((column, path))
 
 
+def _snippet_imports(text: str):
+    """``(module, name)`` of every repro import in the python blocks.
+
+    ``name`` is ``None`` for a bare ``import repro...``.
+    """
+    for block in PYTHON_FENCE.findall(text):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "repro":
+                    for alias in node.names:
+                        yield node.module, alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        yield alias.name, None
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """True if ``from module import name`` (or ``import module``) works."""
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
 class TestDocsTrackCode:
     """Every file, module and bench a document names must exist."""
 
@@ -125,6 +160,15 @@ class TestDocsTrackCode:
             if not ((ROOT / path).is_dir() if is_dir else (ROOT / path).is_file())
         ]
         assert not stale, f"{name}'s source tree lists missing entries: {stale}"
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_snippet_imports_resolve(self, name):
+        stale = sorted(
+            f"{module}.{imported}" if imported else module
+            for module, imported in _snippet_imports((ROOT / name).read_text())
+            if not _resolves(module, imported)
+        )
+        assert not stale, f"{name}'s code snippets import missing names: {stale}"
 
     def test_experiment_bench_ids_are_emitted(self):
         rows = [
