@@ -1,8 +1,9 @@
 """PowerManager: the joint device-side + source-side policy bundle.
 
 The paper's algorithms *jointly* control the embedded system's power
-state (a :class:`~repro.dpm.policy.DPMPolicy`) and the FC output (a
-:class:`~repro.core.baselines.SourceController`) over a hybrid source.
+state (a :class:`~repro.dpm.predictive.PredictiveShutdownPolicy`) and
+the FC output (a :class:`~repro.core.baselines.SourceController`) over
+a hybrid source.
 :class:`PowerManager` wires the three together, shares the idle-period
 predictor between the DPM policy and FC-DPM (as in the paper, both
 consume the same ``T'_i``), and offers one-line constructors for the
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 from ..config import FCSystemConstants
 from ..devices.device import DeviceParams
-from ..dpm.policy import DPMPolicy
 from ..dpm.predictive import PredictiveShutdownPolicy
 from ..fuelcell.efficiency import LinearSystemEfficiency, SystemEfficiencyModel
 from ..fuelcell.fuel import FuelTank, GibbsFuelModel
@@ -39,7 +39,7 @@ class PowerManager:
 
     name: str
     device: DeviceParams
-    policy: DPMPolicy
+    policy: PredictiveShutdownPolicy
     controller: SourceController
     source: PowerSource
 

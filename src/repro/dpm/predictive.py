@@ -5,6 +5,11 @@ estimate exceeds the break-even time the device powers down
 *immediately* (no timeout dwell).  The paper's Eq. 14 filter is the
 default predictor, but any :class:`~repro.prediction.base.Predictor`
 plugs in -- that is the predictor-ablation axis of the benchmarks.
+
+The decision is committed at idle start, one ``bool`` per slot:
+:meth:`PredictiveShutdownPolicy.on_idle_start` returns it and
+:meth:`PredictiveShutdownPolicy.on_idle_end` feeds the actual idle
+length back to the predictor.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ from ..prediction.exponential import (
     ExponentialAveragePredictor,
     exponential_average_scan,
 )
-from .policy import DPMPolicy, IdleDecision, SLEEP_NOW, STAY_AWAKE
 
 
-class PredictiveShutdownPolicy(DPMPolicy):
+class PredictiveShutdownPolicy:
     """Sleep immediately iff the predicted idle length exceeds ``Tbe``.
 
     Parameters
@@ -41,7 +45,7 @@ class PredictiveShutdownPolicy(DPMPolicy):
         predictor: Predictor | None = None,
         threshold: float | None = None,
     ) -> None:
-        super().__init__(params)
+        self.params = params
         self.predictor = (
             predictor
             if predictor is not None
@@ -50,18 +54,38 @@ class PredictiveShutdownPolicy(DPMPolicy):
         self.threshold = params.break_even if threshold is None else threshold
         self.last_prediction: float | None = None
         self._last_slept: bool | None = None
+        self.n_decisions = 0
+        self.n_sleep_decisions = 0
 
-    def on_idle_start(self) -> IdleDecision:
+    def sleeps(self, predicted):
+        """The sleep rule for a prediction (float) or predictions (array).
+
+        Sleep iff the prediction reaches the threshold and the idle
+        period it predicts can host the power-down and wake-up
+        transitions.
+        """
+        return (predicted >= self.threshold) & (
+            predicted >= self.params.t_pd + self.params.t_wu
+        )
+
+    def on_idle_start(self) -> bool:
+        """Decide whether the coming idle period sleeps."""
         predicted = self.predictor.predict()
         self.last_prediction = predicted
-        # A sleep also needs to physically fit the transitions.
-        fits = predicted >= self.params.t_pd + self.params.t_wu
-        sleep = predicted >= self.threshold and fits
+        sleep = bool(self.sleeps(predicted))
         self._last_slept = sleep
-        return self._count(SLEEP_NOW if sleep else STAY_AWAKE)
+        self.n_decisions += 1
+        self.n_sleep_decisions += sleep
+        if OBS.enabled:
+            OBS.metrics.counter(
+                "dpm.policy_decisions",
+                policy=type(self).__name__,
+                sleep="yes" if sleep else "no",
+            ).inc()
+        return sleep
 
-    def decisions_array(self, idle_lengths) -> list[IdleDecision] | None:
-        """Whole-trace decisions via the predictor scan, or None.
+    def decisions_array(self, idle_lengths) -> np.ndarray | None:
+        """Whole-trace sleep mask via the predictor scan, or None.
 
         The scan replaces the per-slot predict/observe loop only when
         it is provably bit-exact: exact policy and predictor types (a
@@ -79,18 +103,17 @@ class PredictiveShutdownPolicy(DPMPolicy):
         predictions, final_estimate = exponential_average_scan(
             self.predictor.factor, self.predictor.estimate, idle_lengths
         )
-        fit_threshold = self.params.t_pd + self.params.t_wu
-        sleep = (predictions >= self.threshold) & (predictions >= fit_threshold)
-        decisions = [SLEEP_NOW if s else STAY_AWAKE for s in sleep.tolist()]
+        sleep = self.sleeps(predictions)
         self.predictor.commit_scan(idle_lengths, predictions, final_estimate)
-        if decisions:
+        if sleep.shape[0]:
             self.last_prediction = float(predictions[-1])
-            self._last_slept = decisions[-1].sleep
-            self.n_decisions += len(decisions)
+            self._last_slept = bool(sleep[-1])
+            self.n_decisions += sleep.shape[0]
             self.n_sleep_decisions += int(np.count_nonzero(sleep))
-        return decisions
+        return sleep
 
     def on_idle_end(self, t_idle: float) -> None:
+        """Observe the actual idle length."""
         if OBS.enabled and self._last_slept is not None:
             # A misprediction is a decision the actual idle length
             # contradicts: slept but the period was shorter than the
@@ -109,7 +132,16 @@ class PredictiveShutdownPolicy(DPMPolicy):
         self.predictor.observe(t_idle)
 
     def reset(self) -> None:
-        super().reset()
+        """Clear decision counters and learning state."""
+        self.n_decisions = 0
+        self.n_sleep_decisions = 0
         self.predictor.reset()
         self.last_prediction = None
         self._last_slept = None
+
+    @property
+    def sleep_rate(self) -> float:
+        """Fraction of idle periods for which SLEEP was chosen."""
+        if self.n_decisions == 0:
+            return 0.0
+        return self.n_sleep_decisions / self.n_decisions

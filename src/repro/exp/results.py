@@ -91,10 +91,19 @@ class ExperimentResults:
             if not record.settled:
                 missing.append(f"{task.task_id} ({record.status})")
                 continue
-            key = record.cache_key or task.cache_key()
+            # Derive the key from the task, as the resume scan does: a
+            # recorded key is only a claim, and a wrong one would read
+            # another cell's value.
+            key = task.cache_key()
             value = cache.get(key, sentinel)
             if value is sentinel:
-                missing.append(f"{task.task_id} (evicted or corrupt in cache)")
+                if record.cache_key == key:
+                    missing.append(f"{task.task_id} (evicted or corrupt in cache)")
+                else:
+                    missing.append(
+                        f"{task.task_id} (recorded under another code version; "
+                        f"'fcdpm exp resume' re-runs it)"
+                    )
                 continue
             values[task.task_id] = value
             if mark_analyzed:

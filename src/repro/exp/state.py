@@ -246,6 +246,23 @@ def validate_state_dict(data: Any) -> list[str]:
     return problems
 
 
+def _state_from_file(path: Path, data: dict[str, Any]) -> ExperimentState:
+    """Build the state read from ``path``, refusing an edited spec.
+
+    A spec changed by hand no longer matches the ``spec_hash`` written
+    with it; running it would execute cells nobody defined, and the
+    next save would rewrite the hash and hide the edit.
+    """
+    state = ExperimentState.from_dict(data)
+    if data.get("spec_hash") != state.spec.content_hash:
+        raise ConfigurationError(
+            f"state file {path}: spec_hash {data.get('spec_hash')!r} != "
+            f"recomputed {state.spec.content_hash!r} (spec edited by hand; "
+            f"re-define the experiment)"
+        )
+    return state
+
+
 def _shard_filename(shard: tuple[int, int]) -> str:
     i, n = shard
     return f"state.shard-{i}-of-{n}.json"
@@ -308,7 +325,7 @@ class ExperimentStore:
             ) from None
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"unreadable state file {path}: {exc}") from exc
-        return ExperimentState.from_dict(data)
+        return _state_from_file(path, data)
 
     def define(
         self, spec: ExperimentSpec, overwrite: bool = False
@@ -347,9 +364,7 @@ class ExperimentStore:
         state = self.load(name)
         for path in self.shard_paths(name):
             try:
-                shard_state = ExperimentState.from_dict(
-                    json.loads(path.read_text())
-                )
+                shard_state = _state_from_file(path, json.loads(path.read_text()))
             except (OSError, json.JSONDecodeError, KeyError) as exc:
                 raise ConfigurationError(
                     f"unreadable shard state {path}: {exc}"

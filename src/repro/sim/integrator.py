@@ -62,25 +62,22 @@ class Segment(NamedTuple):
 
 
 def plan_idle_segments(
-    device: "DeviceParams", t_idle: float, sleep: bool, sleep_after: float
+    device: "DeviceParams", t_idle: float, sleep: bool
 ) -> tuple[list[Segment], bool, bool]:
     """Lay out one idle period; returns ``(segments, slept, aborted)``.
 
-    A sleeping idle period is ``[standby dwell][power-down][sleep]
-    [wake-up]`` summing to ``t_idle``; an idle period too short to host
-    the committed sleep stays in STANDBY and counts as an aborted sleep.
+    A sleeping idle period is ``[power-down][sleep][wake-up]`` summing
+    to ``t_idle``; an idle period too short to host the committed sleep
+    stays in STANDBY and counts as an aborted sleep.
     """
     if not sleep:
         return [Segment(t_idle, device.i_sdb, "standby")], False, False
-    overhead = sleep_after + device.t_pd + device.t_wu
+    overhead = device.t_pd + device.t_wu
     if t_idle < overhead:
         # The idle period cannot host the committed sleep: the device
         # stays in STANDBY (counted as an aborted sleep).
         return [Segment(t_idle, device.i_sdb, "standby")], False, True
-    segments = []
-    if sleep_after > 0:
-        segments.append(Segment(sleep_after, device.i_sdb, "standby"))
-    segments.append(Segment(device.t_pd, device.i_pd, "pd"))
+    segments = [Segment(device.t_pd, device.i_pd, "pd")]
     dwell = t_idle - overhead
     if dwell > 0:
         segments.append(Segment(dwell, device.i_slp, "sleep"))
@@ -140,7 +137,6 @@ def plan_slot_arrays(
     t_active: np.ndarray,
     i_active: np.ndarray,
     sleep: np.ndarray,
-    sleep_after: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Array-native segment layout: all slots at once, one device.
 
@@ -172,17 +168,14 @@ def plan_slot_arrays(
             "aborted": np.empty(0, dtype=bool),
         }
 
-    # Same left-assoc sum as plan_idle_segments' ``overhead``.
-    overhead = (sleep_after + device.t_pd) + device.t_wu
+    overhead = device.t_pd + device.t_wu
     aborted = sleep & (t_idle < overhead)
     slept = sleep & ~aborted
     dwell = t_idle - overhead
-    has_sa = slept & (sleep_after > 0)
     has_dwell = slept & (dwell > 0)
-    sa_off = has_sa.astype(np.intp)
 
-    # Sleeping idle: [standby?][pd][sleep?][wu]; otherwise one standby.
-    n_idle = np.where(slept, (2 + sa_off) + has_dwell.astype(np.intp), 1)
+    # Sleeping idle: [pd][sleep?][wu]; otherwise one standby.
+    n_idle = np.where(slept, 2 + has_dwell.astype(np.intp), 1)
     slot_bounds = np.empty(n_slots + 1, dtype=np.intp)
     slot_bounds[0] = 0
     np.cumsum(n_idle + 1, out=slot_bounds[1:])
@@ -198,16 +191,11 @@ def plan_slot_arrays(
     duration[sb_idx] = t_idle[standby]
     i_load[sb_idx] = device.i_sdb
 
-    sa_idx = starts[has_sa]
-    duration[sa_idx] = sleep_after[has_sa]
-    i_load[sa_idx] = device.i_sdb
-
-    pd_pos = starts + sa_off
-    pd_idx = pd_pos[slept]
+    pd_idx = starts[slept]
     duration[pd_idx] = device.t_pd
     i_load[pd_idx] = device.i_pd
 
-    dw_idx = (pd_pos + 1)[has_dwell]
+    dw_idx = (starts + 1)[has_dwell]
     duration[dw_idx] = dwell[has_dwell]
     i_load[dw_idx] = device.i_slp
 

@@ -7,7 +7,7 @@ the output current, and the power source integrates fuel and storage.
 
 Timeline convention (documented in DESIGN.md): the trace's ``Ti`` is the
 request-free interval.  A sleeping idle period is laid out as
-``[standby dwell][power-down][sleep][wake-up]`` summing to ``Ti`` (the
+``[power-down][sleep][wake-up]`` summing to ``Ti`` (the
 device wakes exactly at the next request; the paper instead extends the
 active period by ``tau_WU`` -- the charge accounting is identical, and
 keeping slots equal-length lets all policies run the same wall clock).
@@ -270,9 +270,8 @@ class SlotSimulator:
                 OBS.span("sim.slot", slot=index) if obs_on else None
             )
             t_sim_start = integrator.t_now
-            decision = mgr.policy.on_idle_start()
             idle_segments, slept, aborted = plan_idle_segments(
-                mgr.device, slot.t_idle, decision.sleep, decision.sleep_after
+                mgr.device, slot.t_idle, mgr.policy.on_idle_start()
             )
             n_sleeps += slept
             n_aborted += aborted

@@ -28,8 +28,10 @@ sweeps:
 Planning is batched too: all rows' slots concatenate into one
 :func:`~repro.sim.integrator.plan_slot_arrays` call (every layout rule
 is slot-local, so the concatenated plan equals the per-seed plans row
-for row), and the device-side sleep decisions come from one batched
-predictor scan replicating ``PredictiveShutdownPolicy.decisions_array``.
+for row), and the device-side sleep mask comes from one batched
+predictor scan fed through the policy's own sleep rule
+(``PredictiveShutdownPolicy.sleeps``), as
+``PredictiveShutdownPolicy.decisions_array`` does per row.
 
 Exactness contract: for every seed, every ``SimulationResult`` field
 equals the scalar :class:`~repro.sim.slotsim.SlotSimulator`'s bit for
@@ -762,19 +764,17 @@ def simulate_batch_stacked(
     if slots is None:
         slots = _gather_batch_slots(scenario, seed_list, traces)
 
-    # Device-side sleep decisions: one batched predictor scan, exactly
-    # PredictiveShutdownPolicy.decisions_array per row.  As in the
-    # serial loop, the first spec's (fresh) policy is the probe whose
-    # decisions every spec shares.
+    # Device-side sleep mask: one batched predictor scan through the
+    # policy's sleep rule, exactly PredictiveShutdownPolicy.decisions_array
+    # per row.  As in the serial loop, the first spec's (fresh) policy
+    # is the probe whose decisions every spec shares.
     probe = managers[specs[0]]
     policy = probe.policy
     predictor = policy.predictor
     preds2d, _ = exponential_average_scan_batch(
         predictor.factor, predictor.estimate, slots.t_idle2d, slots.counts
     )
-    fit_threshold = policy.params.t_pd + policy.params.t_wu
-    sleep2d = (preds2d >= policy.threshold) & (preds2d >= fit_threshold)
-    sleep_flat = sleep2d[slots.valid]
+    sleep_flat = policy.sleeps(preds2d[slots.valid])
 
     # One planner call over the concatenated slots: every layout rule in
     # plan_slot_arrays is slot-local, so carving the result back into
@@ -786,7 +786,6 @@ def simulate_batch_stacked(
             slots.t_active,
             slots.i_active,
             sleep_flat,
-            np.zeros(sleep_flat.shape[0]),
         )
     )
     sp = _stack_from_flat(flat, slots.counts)

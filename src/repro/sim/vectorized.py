@@ -86,7 +86,6 @@ from .slotsim import SimulationResult, SlotColumns, SlotSimulator, check_run_lim
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import PowerManager
-    from ..dpm.policy import DPMPolicy, IdleDecision
     from ..scenario.spec import Scenario
     from ..workload.trace import LoadTrace
 
@@ -200,57 +199,51 @@ def _slot_sums(plan: "TraceArrays", values: np.ndarray) -> np.ndarray:
     return out
 
 
-def replay_policy(policy: "DPMPolicy", trace: "LoadTrace") -> list["IdleDecision"]:
+def replay_policy(policy: PredictiveShutdownPolicy, trace: "LoadTrace") -> np.ndarray:
     """Collect the per-slot sleep decisions by replaying the policy.
 
-    Device-side DPM policies are pure functions of the observed idle
-    history (they never see the power source), so firing
+    The device-side policy is a pure function of the observed idle
+    history (it never sees the power source), so firing
     ``on_idle_start`` / ``on_idle_end`` in slot order yields exactly the
     decisions -- and the same policy end state -- the scalar simulator
     produces while interleaving integration in between.
 
-    Policies exposing a ``decisions_array`` scan hook (the paper's
-    :class:`~repro.dpm.predictive.PredictiveShutdownPolicy` over an
-    exponential-average predictor) skip the per-slot loop entirely; the
-    hook owns the exact end-state commit and returns None whenever it
-    cannot guarantee bit-exactness, falling back to the replay.
+    :meth:`~repro.dpm.predictive.PredictiveShutdownPolicy.decisions_array`
+    (the exponential-average predictor scan) skips the per-slot loop
+    entirely; it owns the exact end-state commit and returns None
+    whenever it cannot guarantee bit-exactness, falling back to the
+    replay.  Returns one bool per slot.
     """
-    compiled = getattr(policy, "decisions_array", None)
-    if compiled is not None:
-        decisions = compiled([slot.t_idle for slot in trace])
-        if decisions is not None:
-            return decisions
-    decisions = []
-    for slot in trace:
-        decisions.append(policy.on_idle_start())
+    sleep = policy.decisions_array([slot.t_idle for slot in trace])
+    if sleep is not None:
+        return sleep
+    sleep = np.empty(len(trace), dtype=bool)
+    for k, slot in enumerate(trace):
+        sleep[k] = policy.on_idle_start()
         policy.on_idle_end(slot.t_idle)
-    return decisions
+    return sleep
 
 
-def plan_trace_arrays(device, trace: "LoadTrace", decisions) -> TraceArrays:
-    """Compile ``trace`` + per-slot ``decisions`` into :class:`TraceArrays`.
+def plan_trace_arrays(device, trace: "LoadTrace", sleep) -> TraceArrays:
+    """Compile ``trace`` + the per-slot ``sleep`` mask into :class:`TraceArrays`.
 
-    Extracts the slot/decision columns and hands them to
+    Extracts the slot columns and hands them to
     :func:`repro.sim.integrator.plan_slot_arrays` -- the layout rules
     stay single-sourced in :mod:`repro.sim.integrator`, so the segment
     layout is the scalar simulator's, row for row.
     """
     slots = list(trace)
-    decisions = list(decisions)
+    sleep = np.asarray(sleep, dtype=bool)
     n_slots = len(slots)
-    if len(decisions) != n_slots:
+    if sleep.shape != (n_slots,):
         raise ConfigurationError(
-            f"got {len(decisions)} decisions for {n_slots} slots"
+            f"got {sleep.size} decisions for {n_slots} slots"
         )
     t_idle = np.array([s.t_idle for s in slots], dtype=float)
     t_active = np.array([s.t_active for s in slots], dtype=float)
     i_active = np.array([s.i_active for s in slots], dtype=float)
-    sleep = np.fromiter((d.sleep for d in decisions), dtype=bool, count=n_slots)
-    sleep_after = np.fromiter(
-        (d.sleep_after for d in decisions), dtype=float, count=n_slots
-    )
     return TraceArrays(
-        **plan_slot_arrays(device, t_idle, t_active, i_active, sleep, sleep_after)
+        **plan_slot_arrays(device, t_idle, t_active, i_active, sleep)
     )
 
 
@@ -1115,8 +1108,8 @@ def simulate_fast(
             ).run(trace)
     with OBS.span("sim.simulate", manager=manager.name, route="fast"):
         fc_seeds = _fc_scan_seeds(manager)
-        decisions = replay_policy(manager.policy, trace)
-        plan = plan_trace_arrays(manager.device, trace, decisions)
+        sleep = replay_policy(manager.policy, trace)
+        plan = plan_trace_arrays(manager.device, trace, sleep)
         result = _simulate_fast_planned(
             manager, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds
         )

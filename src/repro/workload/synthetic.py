@@ -117,37 +117,6 @@ def uniform_slot_arrays(
     return out[0], out[1], out[2]
 
 
-def uniform_slots_batch(
-    n_slots: int,
-    idle_range: tuple[float, float],
-    active_range: tuple[float, float],
-    current_range: tuple[float, float],
-    seeds,
-    name: str = "uniform",
-    range_scales=None,
-) -> dict[int, LoadTrace]:
-    """Multi-seed :func:`uniform_slots`: ``{seed: LoadTrace}`` in one pass.
-
-    Values come from :func:`uniform_slot_arrays`, so every trace equals
-    its per-seed ``uniform_slots`` twin exactly.
-    """
-    seed_list = [int(s) for s in seeds]
-    t_idle, t_active, i_active = uniform_slot_arrays(
-        n_slots, idle_range, active_range, current_range, seed_list,
-        range_scales=range_scales,
-    )
-    traces: dict[int, LoadTrace] = {}
-    for r, seed in enumerate(seed_list):
-        slots = [
-            TaskSlot(t_idle=ti, t_active=ta, i_active=ia)
-            for ti, ta, ia in zip(
-                t_idle[r].tolist(), t_active[r].tolist(), i_active[r].tolist()
-            )
-        ]
-        traces[seed] = LoadTrace(slots, name=name)
-    return traces
-
-
 def experiment2_trace(
     constants: Experiment2Constants | None = None,
     seed: int = 2007,

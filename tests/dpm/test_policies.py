@@ -3,9 +3,7 @@
 import pytest
 
 from repro.devices.camcorder import camcorder_device_params
-from repro.dpm.policy import IdleDecision
 from repro.dpm.predictive import PredictiveShutdownPolicy
-from repro.errors import ConfigurationError
 from repro.prediction.exponential import ExponentialAveragePredictor
 
 
@@ -14,36 +12,29 @@ def params():
     return camcorder_device_params()
 
 
-class TestIdleDecision:
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ConfigurationError):
-            IdleDecision(sleep=True, sleep_after=-1.0)
-
-
 class TestPredictiveShutdown:
     def test_sleeps_when_prediction_exceeds_threshold(self, params):
         pred = ExponentialAveragePredictor(factor=0.5, initial=10.0)
         policy = PredictiveShutdownPolicy(params, pred)
-        d = policy.on_idle_start()
-        assert d.sleep and d.sleep_after == 0.0
+        assert policy.on_idle_start() is True
 
     def test_stays_when_prediction_below_threshold(self, params):
         pred = ExponentialAveragePredictor(factor=0.5, initial=0.2)
         policy = PredictiveShutdownPolicy(params, pred)
-        assert not policy.on_idle_start().sleep
+        assert not policy.on_idle_start()
 
     def test_threshold_override(self, params):
         pred = ExponentialAveragePredictor(factor=0.5, initial=5.0)
         policy = PredictiveShutdownPolicy(params, pred, threshold=6.0)
-        assert not policy.on_idle_start().sleep
+        assert not policy.on_idle_start()
 
     def test_learning_changes_decision(self, params):
         policy = PredictiveShutdownPolicy(
             params, ExponentialAveragePredictor(factor=0.5, initial=0.0)
         )
-        assert not policy.on_idle_start().sleep  # prediction 0 < Tbe
+        assert not policy.on_idle_start()  # prediction 0 < Tbe
         policy.on_idle_end(12.0)
-        assert policy.on_idle_start().sleep      # prediction 6 > Tbe = 1
+        assert policy.on_idle_start()      # prediction 6 > Tbe = 1
 
     def test_last_prediction_exposed(self, params):
         policy = PredictiveShutdownPolicy(

@@ -8,6 +8,11 @@
 * A truncated ``state.json`` is refused with a ``ConfigurationError``.
 * A truncated or bit-flipped cache entry reads as a miss, and
   ``ExperimentResults.load`` raises naming the task.
+* Swapped ``cache_key`` records still read each cell its own value; a
+  record under a key this code version does not derive reads as a miss
+  that names the cause.
+* A spec edited by hand in ``state.json`` (or in a shard sidecar) no
+  longer matches its ``spec_hash`` and is refused, naming the file.
 """
 
 import json
@@ -147,4 +152,52 @@ class TestCorruption:
         sentinel = object()
         assert cache.get(record.cache_key, sentinel) is sentinel
         with pytest.raises(ConfigurationError, match=r"t00001 \(evicted or corrupt"):
+            ExperimentResults.load(state, cache)
+
+    def test_swapped_cache_keys_read_each_cell_its_own_value(self, spec, tmp_path):
+        store, cache = _finished(spec, tmp_path)
+        path = store.state_path(spec.name)
+        data = json.loads(path.read_text())
+        tasks = data["tasks"]
+        tasks["t00000"]["cache_key"], tasks["t00001"]["cache_key"] = (
+            tasks["t00001"]["cache_key"],
+            tasks["t00000"]["cache_key"],
+        )
+        path.write_text(json.dumps(data))
+        state = store.load(spec.name)
+        assert ExperimentResults.load(state, cache).by_cell() == _direct()
+
+    def test_edited_spec_is_refused(self, spec, tmp_path):
+        store, _ = _finished(spec, tmp_path)
+        path = store.state_path(spec.name)
+        data = json.loads(path.read_text())
+        recorded = data["spec_hash"]
+        data["spec"]["seeds"] = [0, 1, 5]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.load(spec.name)
+        message = str(excinfo.value)
+        assert str(path) in message and recorded in message
+        edited = scenario_batch_spec("crash", "exp2-fc-dpm", [0, 1, 5], policies=POLICIES)
+        assert edited.content_hash in message
+
+    def test_edited_shard_spec_is_refused_by_merge(self, spec, tmp_path):
+        store, _ = _finished(spec, tmp_path)
+        data = json.loads(store.state_path(spec.name).read_text())
+        data["spec"]["seeds"] = [0, 1, 5]
+        shard = store.state_path(spec.name, (1, 2))
+        shard.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="spec_hash") as excinfo:
+            store.merge(spec.name)
+        assert str(shard) in str(excinfo.value)
+
+    def test_value_recorded_under_another_key_names_the_cause(self, spec, tmp_path):
+        # A record whose key this code version does not derive (another
+        # fingerprint) reads as a miss that says so, not as corruption.
+        store, cache = _finished(spec, tmp_path)
+        state = store.load(spec.name)
+        record = state.tasks["t00001"]
+        (cache.root / f"{record.cache_key}.pkl").unlink()
+        record.cache_key = "0" * 32
+        with pytest.raises(ConfigurationError, match=r"t00001 \(recorded under another code"):
             ExperimentResults.load(state, cache)

@@ -19,9 +19,7 @@ from repro.workload.trace import TaskSlot
 
 class TestIdlePlanning:
     def test_no_sleep_is_one_standby_segment(self, camcorder_params):
-        segments, slept, aborted = plan_idle_segments(
-            camcorder_params, 12.0, sleep=False, sleep_after=0.0
-        )
+        segments, slept, aborted = plan_idle_segments(camcorder_params, 12.0, sleep=False)
         assert not slept and not aborted
         assert [s.kind for s in segments] == ["standby"]
         assert segments[0].duration == 12.0
@@ -29,26 +27,20 @@ class TestIdlePlanning:
 
     def test_sleep_layout_sums_to_idle_length(self, camcorder_params):
         t_idle = 15.0
-        segments, slept, aborted = plan_idle_segments(
-            camcorder_params, t_idle, sleep=True, sleep_after=2.0
-        )
+        segments, slept, aborted = plan_idle_segments(camcorder_params, t_idle, sleep=True)
         assert slept and not aborted
-        assert [s.kind for s in segments] == ["standby", "pd", "sleep", "wu"]
+        assert [s.kind for s in segments] == ["pd", "sleep", "wu"]
         assert sum(s.duration for s in segments) == pytest.approx(t_idle)
 
     def test_too_short_idle_aborts_the_sleep(self, camcorder_params):
         p = camcorder_params
         t_idle = p.t_pd + p.t_wu - 0.01  # cannot even host the transitions
-        segments, slept, aborted = plan_idle_segments(
-            p, t_idle, sleep=True, sleep_after=0.0
-        )
+        segments, slept, aborted = plan_idle_segments(p, t_idle, sleep=True)
         assert not slept and aborted
         assert [s.kind for s in segments] == ["standby"]
 
     def test_immediate_sleep_has_no_standby_prefix(self, camcorder_params):
-        segments, slept, _ = plan_idle_segments(
-            camcorder_params, 15.0, sleep=True, sleep_after=0.0
-        )
+        segments, slept, _ = plan_idle_segments(camcorder_params, 15.0, sleep=True)
         assert slept
         assert segments[0].kind == "pd"
 
