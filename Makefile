@@ -51,7 +51,11 @@ trace-smoke:
 # Orchestration smoke: define two experiments, kill one mid-run with
 # the crash-injection hook (expected exit 3), resume it to completion,
 # merge a sharded run, validate every state file structurally, and
-# print the per-cell report.  Everything lands under exp-smoke-out/.
+# print the per-cell report.  A corruption drill flips one byte of one
+# smoke-a cache entry (found through state.json's cache_key): the next
+# run must re-execute exactly that cell.  The cache root must end up
+# holding entry files (*.pkl) and experiments/ only.  Everything lands
+# under exp-smoke-out/.
 exp-smoke:
 	rm -rf exp-smoke-out
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp define smoke-a \
@@ -62,6 +66,13 @@ exp-smoke:
 		$(PYTHON) -m repro.cli exp run smoke-a; test $$? -eq 3
 	$(PYTHON) scripts/check_exp_state.py exp-smoke-out/experiments
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp resume smoke-a
+	$(PYTHON) -c "import json, pathlib; \
+		state = json.loads(pathlib.Path('exp-smoke-out/experiments/smoke-a/state.json').read_text()); \
+		entry = pathlib.Path('exp-smoke-out', state['tasks']['t00000']['cache_key'] + '.pkl'); \
+		data = bytearray(entry.read_bytes()); data[len(data) // 2] ^= 1; \
+		entry.write_bytes(bytes(data))"
+	out=$$(FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-a) && \
+		echo "$$out" && echo "$$out" | grep -q "executed 1,"
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 1/2
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 2/2
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp merge smoke-b
@@ -69,6 +80,7 @@ exp-smoke:
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp report smoke-a
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp status
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli cache stats
+	test -z "$$(ls exp-smoke-out | grep -v -e '\.pkl$$' -e '^experiments$$')"
 
 # Live-telemetry smoke: run a sharded experiment with --live flushing,
 # validate every heartbeat + OpenMetrics exposition structurally

@@ -632,9 +632,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         rows = [["namespace", "entries", "bytes"]]
         for namespace, ns in stats.namespaces.items():
             rows.append([namespace, str(ns.entries), str(ns.bytes)])
-        rows.append(["(sidecars)", str(stats.sidecar_files),
-                     str(stats.sidecar_bytes)])
-        rows.append(["total", str(stats.entries), str(stats.total_bytes)])
+        rows.append(["total", str(stats.entries), str(stats.bytes)])
         print(format_table(rows, title=f"result cache: {stats.root}"))
         return 0
     removed = cache.clear(namespace=args.namespace)

@@ -98,7 +98,10 @@ class ExperimentResults:
             value = cache.get(key, sentinel)
             if value is sentinel:
                 if record.cache_key == key:
-                    missing.append(f"{task.task_id} (evicted or corrupt in cache)")
+                    missing.append(
+                        f"{task.task_id} (evicted or corrupt in cache; "
+                        f"'fcdpm exp run' re-runs it)"
+                    )
                 else:
                     missing.append(
                         f"{task.task_id} (recorded under another code version; "

@@ -6,7 +6,7 @@
 
 * **Resume first.**  Tasks whose results already sit in the
   :class:`~repro.runtime.cache.ResultCache` -- verified through the
-  entry's ``<key>.manifest.json`` provenance sidecar -- are marked done
+  entry's checksum and its provenance fingerprint -- are marked done
   without executing (counted under ``exp.tasks_resumed``); only the
   remainder is dispatched.  A crashed run therefore restarts from where
   its cache writes stopped, not from zero.
@@ -32,7 +32,6 @@ tests use.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -91,24 +90,14 @@ def shard_tasks(tasks: list[UnitTask], shard: tuple[int, int] | None) -> list[Un
 
 
 def verified_in_cache(cache: ResultCache, key: str, fingerprint: str) -> bool:
-    """True when ``key`` has both a cache entry and a valid manifest.
+    """True when ``key``'s entry reads back whole under ``fingerprint``.
 
-    The manifest sidecar is the resume-trust anchor: a pickle without
-    provenance (or with a fingerprint that disagrees with the key's) is
-    treated as absent and recomputed.
+    The entry's SHA-256 trailer is the resume-trust anchor: a torn or
+    bit-flipped entry, or one whose provenance names another code
+    fingerprint, is treated as absent and recomputed.
     """
-    if not cache.contains(key):
-        return False
-    manifest_path = cache.root / f"{key}.manifest.json"
-    try:
-        data = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    from ..obs import validate_manifest
-
-    if validate_manifest(data):
-        return False
-    return data.get("fingerprint") == fingerprint
+    entry = cache.read(key)
+    return entry is not None and entry[0].get("fingerprint") == fingerprint
 
 
 @dataclass

@@ -163,6 +163,16 @@ class ExperimentSpec:
         if len(set(policies)) != len(policies):
             raise ConfigurationError(f"duplicate policies in {policies}")
         object.__setattr__(self, "policies", policies)
+        # Names that can never run are refused here, not by every task.
+        if isinstance(self.scenario, str):
+            from ..scenario import get_scenario
+
+            get_scenario(self.scenario)
+        if policies:
+            from ..sim.vectorized import check_policy_spec
+
+            for policy in policies:
+                check_policy_spec(policy)
         ablations = tuple(
             (str(knob), tuple(values)) for knob, values in self.ablations
         )

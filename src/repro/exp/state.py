@@ -10,9 +10,9 @@ results land in), holding
   it owns, written by ``fcdpm exp run --shard i/n`` so independent
   hosts never contend on the main file (folded back by ``merge``);
 * ``manifest.json`` -- the run-level provenance record
-  (:class:`~repro.obs.manifest.RunManifest`); per-task provenance rides
-  the cache's own ``<key>.manifest.json`` sidecars, linked from each
-  task record through its ``cache_key``.
+  (:class:`~repro.obs.manifest.RunManifest`); per-task provenance is
+  the first line of each task's cache entry, linked from its task
+  record through its ``cache_key``.
 
 Writes are atomic (temp file + ``os.replace``), so a killed run leaves
 either the previous or the next consistent state -- never a torn file.
@@ -61,8 +61,8 @@ class TaskRecord:
 
     task_id: str
     status: str = "defined"
-    #: ResultCache key of the task's value (provenance link: the entry's
-    #: ``<key>.manifest.json`` sits beside it in the cache directory).
+    #: ResultCache key of the task's value (provenance link: the entry
+    #: ``<key>.pkl`` opens with its provenance record).
     cache_key: str | None = None
     #: ``"i/n"`` when the task was executed by a shard run.
     shard: str | None = None
@@ -253,7 +253,10 @@ def _state_from_file(path: Path, data: dict[str, Any]) -> ExperimentState:
     with it; running it would execute cells nobody defined, and the
     next save would rewrite the hash and hide the edit.
     """
-    state = ExperimentState.from_dict(data)
+    try:
+        state = ExperimentState.from_dict(data)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"state file {path}: {exc}") from None
     if data.get("spec_hash") != state.spec.content_hash:
         raise ConfigurationError(
             f"state file {path}: spec_hash {data.get('spec_hash')!r} != "

@@ -6,8 +6,8 @@ spec / parameter dict, seeds, worker count, which execution route
 (vectorized fast path vs scalar simulator) produced it, wall/CPU time,
 a metrics snapshot, and the package versions involved.  One is written
 
-* alongside every on-disk :class:`~repro.runtime.cache.ResultCache`
-  entry (``<key>.manifest.json``),
+* as the first line of every on-disk
+  :class:`~repro.runtime.cache.ResultCache` entry (compact JSON),
 * into every ``fcdpm export`` directory, and
 * into the ``--trace`` output directory of ``fcdpm run``,
 

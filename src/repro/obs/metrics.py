@@ -5,7 +5,7 @@ emit a fixed vocabulary (catalogued in ``docs/observability.md``) so
 dashboards and tests can rely on names:
 
 =========================================  =====================================
-``runtime.cache.{hit,miss,invalidated}``   on-disk result cache traffic
+``runtime.cache.{hits,misses}``             on-disk result cache traffic
 ``runtime.memo.{hit,miss,uncacheable}``    slot-solver memoization
 ``runtime.parallel.chunk_seconds``         per-chunk wall time (histogram)
 ``sim.route``                              fast vs scalar routing (labelled)

@@ -1118,7 +1118,7 @@ def simulate_fast(
         return result
 
 
-def _parse_policy_spec(spec) -> None:
+def check_policy_spec(spec) -> None:
     """Validate a ``simulate_batch`` policy spec; raises ``ConfigurationError``."""
     from ..scenario.spec import _POLICY_KINDS
 
@@ -1151,7 +1151,7 @@ def _policy_manager(scenario: "Scenario", spec: str) -> "PowerManager":
     """
     from dataclasses import replace
 
-    _parse_policy_spec(spec)
+    check_policy_spec(spec)
     if spec.startswith("static:"):
         i_f = float(spec.split(":", 1)[1])
         base = replace(scenario, policy=replace(scenario.policy, kind="conv-dpm"))
@@ -1361,7 +1361,7 @@ def simulate_batch(
     if not specs:
         raise ConfigurationError("simulate_batch needs at least one policy")
     for spec in specs:
-        _parse_policy_spec(spec)
+        check_policy_spec(spec)
     _reject_duplicates(specs, "policies", "policy")
     check_run_limits(max_deficit_fraction)
     n_workers = resolve_workers(workers)

@@ -14,7 +14,7 @@ from repro.exp import (
     sweep_spec,
 )
 from repro.exp.tasks import result_metrics, task_kind
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, code_fingerprint
 from repro.sim.vectorized import simulate_batch
 
 
@@ -94,9 +94,11 @@ class TestPersistedRun:
         for record in state.tasks.values():
             assert record.settled
             assert record.cache_key
-            assert cache.contains(record.cache_key)
-            # Per-entry provenance manifest sits beside the pickle.
-            assert (cache.root / f"{record.cache_key}.manifest.json").exists()
+            # Each entry carries its provenance inline, under this code.
+            provenance, _ = cache.read(record.cache_key)
+            assert provenance["fingerprint"] == code_fingerprint()
+        # ... and nothing else is written beside the entries.
+        assert {p.suffix for p in cache.root.iterdir() if p.is_file()} == {".pkl"}
         assert run.executed == spec.n_tasks
 
     def test_second_run_resumes_everything(self, spec, tmp_path):
@@ -121,10 +123,11 @@ class TestPersistedRun:
         store = ExperimentStore(tmp_path / "exp")
         cache = ResultCache()
         run_experiment(spec, store=store, cache=cache)
-        # Strip one entry's provenance manifest; resume must recompute
-        # that task instead of trusting a bare pickle.
+        # Tear one entry (its checksum no longer matches); resume must
+        # recompute that task instead of trusting what is left.
         key = store.load(spec.name).tasks["t00000"].cache_key
-        (cache.root / f"{key}.manifest.json").unlink()
+        path = cache.root / f"{key}.pkl"
+        path.write_bytes(path.read_bytes()[:-1])
         again = run_experiment(spec, store=store, cache=cache)
         assert again.executed == 1
         assert again.resumed == spec.n_tasks - 1

@@ -56,6 +56,35 @@ class TestValidation:
         assert ExperimentSpec(name="x", kind=kind, ablations=((knob, (1,)),)).n_tasks == 1
         assert ExperimentSpec(name="x", kind=kind, extra=((knob, 1),)).n_tasks == 1
 
+    def test_rejects_unknown_scenario_name(self):
+        with pytest.raises(ConfigurationError, match="unknown scenario 'nope'"):
+            ExperimentSpec(name="x", kind="scenario", scenario="nope")
+        # Dicts are full scenario specs, not registry names.
+        spec = ExperimentSpec(
+            name="x", kind="scenario", scenario=get_scenario("exp1-fc-dpm").to_dict()
+        )
+        assert spec.n_tasks == 1
+
+    @pytest.mark.parametrize(
+        "policy, match",
+        [("bogus", "unknown policy 'bogus'"),
+         ("static:high", "bad static policy spec"),
+         (3, "policy spec must be a string")],
+    )
+    def test_rejects_policies_simulate_batch_refuses(self, policy, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentSpec(
+                name="x", kind="scenario", scenario="exp2-fc-dpm",
+                policies=("conv-dpm", policy),
+            )
+
+    def test_accepts_every_policy_simulate_batch_runs(self):
+        policies = ("conv-dpm", "asap-dpm", "fc-dpm", "static:0.3")
+        spec = ExperimentSpec(
+            name="x", kind="scenario", scenario="exp2-fc-dpm", policies=policies
+        )
+        assert spec.n_tasks == len(policies)
+
     def test_needs_a_seed(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
             ExperimentSpec(name="x", kind="scenario", seeds=())

@@ -131,6 +131,25 @@ class TestStore:
         with pytest.raises(ConfigurationError, match="'fast'"):
             run_experiment(spec.name, store=store)
 
+    def test_state_naming_an_unregistered_scenario_names_the_file(
+        self, store, monkeypatch
+    ):
+        # A scenario registered by another process is unknown here; the
+        # refusal must say which state file asked for it.
+        from dataclasses import replace
+
+        from repro.scenario import get_scenario, register, registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        register(replace(get_scenario("exp2-fc-dpm"), name="elsewhere"))
+        store.define(scenario_batch_spec("far", "elsewhere", [0]))
+        del registry._REGISTRY["elsewhere"]
+        path = store.state_path("far")
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.load("far")
+        assert str(path) in str(excinfo.value)
+        assert "unknown scenario 'elsewhere'" in str(excinfo.value)
+
     def test_atomic_save_leaves_no_temp_files(self, store, spec):
         store.define(spec)
         leftovers = list(store.experiment_dir("demo").glob("*.tmp"))

@@ -7,7 +7,8 @@
   exactly the ``k`` stored cells.
 * A truncated ``state.json`` is refused with a ``ConfigurationError``.
 * A truncated or bit-flipped cache entry reads as a miss, and
-  ``ExperimentResults.load`` raises naming the task.
+  ``ExperimentResults.load`` raises naming the task; a resume re-runs
+  exactly that cell.
 * Swapped ``cache_key`` records still read each cell its own value; a
   record under a key this code version does not derive reads as a miss
   that names the cause.
@@ -44,7 +45,7 @@ KILL_AFTER = 3
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 # Runs in a fresh interpreter: kill the process right after the k-th
-# cache entry (pickle + manifest) landed, mid-way through the group.
+# cache entry landed, mid-way through the group.
 CHILD = textwrap.dedent(
     """
     import os, sys
@@ -151,8 +152,25 @@ class TestCorruption:
 
         sentinel = object()
         assert cache.get(record.cache_key, sentinel) is sentinel
-        with pytest.raises(ConfigurationError, match=r"t00001 \(evicted or corrupt"):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"t00001 \(evicted or corrupt in cache; 'fcdpm exp run' re-runs it\)",
+        ):
             ExperimentResults.load(state, cache)
+
+    def test_resume_re_executes_a_bit_flipped_entry(self, spec, tmp_path):
+        store, cache = _finished(spec, tmp_path)
+        key = store.load(spec.name).tasks["t00000"].cache_key
+        path = cache.root / f"{key}.pkl"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        again = run_experiment(spec.name, store=store, cache=cache)
+        assert (again.executed, again.resumed) == (1, spec.n_tasks - 1)
+        assert again.state.tasks["t00000"].resumed is False
+        results = ExperimentResults.load(store.load(spec.name), cache)
+        assert results.by_cell() == _direct()
 
     def test_swapped_cache_keys_read_each_cell_its_own_value(self, spec, tmp_path):
         store, cache = _finished(spec, tmp_path)

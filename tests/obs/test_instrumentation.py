@@ -3,14 +3,11 @@
 Integration-level checks: recording runs route scalar with the reason
 emitted as a metric, per-slot spans agree with the Recorder's sample
 timeline, parallel workers ship spans/metrics back to the coordinator,
-and the result cache logs/counts code-fingerprint invalidations.
+and the result cache counts its hits and misses.
 """
-
-import logging
 
 import pytest
 
-import repro.runtime.cache as cache_module
 from repro.obs import OBS, observing
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import ParallelMap
@@ -145,60 +142,10 @@ class TestParallelTelemetry:
         assert snapshot["runtime.parallel.maps{mode=serial}"]["value"] == 1
 
 
-# -- result cache invalidation -----------------------------------------------
+# -- result cache telemetry ---------------------------------------------------
 
 
 class TestCacheInvalidation:
-    def test_fingerprint_change_logs_and_counts(
-        self, tmp_path, monkeypatch, caplog
-    ):
-        cache = ResultCache(root=tmp_path)
-        monkeypatch.setattr(cache_module, "_FINGERPRINT", "aaaa0000")
-        with observing() as obs:
-            assert cache.cached("exp", {"seed": 1}, lambda: 10) == 10
-            # Same fingerprint: a plain hit, no invalidation.
-            assert cache.cached("exp", {"seed": 1}, lambda: 11) == 10
-            snap = obs.metrics.snapshot()
-            assert "runtime.cache.invalidated{namespace=exp}" not in snap
-
-            # A code change: new fingerprint, old entry unreachable.
-            monkeypatch.setattr(cache_module, "_FINGERPRINT", "bbbb1111")
-            with caplog.at_level(logging.INFO, logger="repro.runtime.cache"):
-                assert cache.cached("exp", {"seed": 1}, lambda: 12) == 12
-            snap = obs.metrics.snapshot()
-
-        assert snap["runtime.cache.invalidated{namespace=exp}"]["value"] == 1
-        event = next(
-            r for r in caplog.records if "cache.invalidated" in r.getMessage()
-        )
-        assert "old_fingerprint=aaaa0000" in event.getMessage()
-        assert "new_fingerprint=bbbb1111" in event.getMessage()
-
-    def test_sidecar_and_manifest_written(self, tmp_path, monkeypatch):
-        cache = ResultCache(root=tmp_path)
-        monkeypatch.setattr(cache_module, "_FINGERPRINT", "aaaa0000")
-        cache.cached("exp", {"seed": 1}, lambda: 10)
-        sidecars = list(tmp_path.glob("*.fp"))
-        manifests = list(tmp_path.glob("*.manifest.json"))
-        assert len(sidecars) == 1
-        assert sidecars[0].read_text().strip() == "aaaa0000"
-        assert len(manifests) == 1
-        from repro.obs import validate_manifest
-        import json
-
-        data = json.loads(manifests[0].read_text())
-        assert validate_manifest(data) == []
-        assert data["name"] == "exp"
-        assert data["route"] == "cached"
-        assert data["fingerprint"] == "aaaa0000"
-
-    def test_clear_removes_sidecars(self, tmp_path, monkeypatch):
-        cache = ResultCache(root=tmp_path)
-        monkeypatch.setattr(cache_module, "_FINGERPRINT", "aaaa0000")
-        cache.cached("exp", {}, lambda: 1)
-        assert cache.clear() == 1
-        assert list(tmp_path.iterdir()) == []
-
     def test_hit_miss_counters(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         with observing() as obs:

@@ -1,5 +1,6 @@
 """Unit tests for the on-disk result cache: key stability + invalidation."""
 
+import json
 import pickle
 import struct
 
@@ -57,13 +58,16 @@ class TestCacheKey:
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("k", {"answer": 42})
-        assert cache.get("k") == {"answer": 42}
-        assert cache.contains("k")
+        key = cache.store("ns", {"seed": 1}, {"answer": 42})
+        assert cache.get(key) == {"answer": 42}
+        provenance, value = cache.read(key)
+        assert value == {"answer": 42}
+        assert provenance["name"] == "ns"
 
     def test_miss_returns_default(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         assert cache.get("absent", default="nope") == "nope"
+        assert cache.read("absent") is None
         assert cache.misses == 1
 
     def test_cached_computes_once(self, tmp_path):
@@ -95,78 +99,93 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("k", 1)
+        key = cache.store("ns", {}, 1)
         next(tmp_path.glob("*.pkl")).write_bytes(b"not a pickle")
-        assert cache.get("k", default="fallback") == "fallback"
+        assert cache.get(key, default="fallback") == "fallback"
+        assert cache.read(key) is None
 
     def test_flipped_bit_and_short_entry_are_misses(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("k", {"fuel": 846.404})
+        key = cache.store("ns", {}, {"fuel": 846.404})
         path = next(tmp_path.glob("*.pkl"))
         data = bytearray(path.read_bytes())
         # A bit inside the float still unpickles -- to a wrong value.
         at = bytes(data).index(struct.pack(">d", 846.404)) + 7
         data[at] ^= 1
         path.write_bytes(bytes(data))
-        assert pickle.loads(bytes(data)) != {"fuel": 846.404}
-        assert cache.get("k", default="miss") == "miss"
+        pickled = bytes(data).partition(b"\n")[2][: -32]
+        assert pickle.loads(pickled) != {"fuel": 846.404}
+        assert cache.get(key, default="miss") == "miss"
         path.write_bytes(b"\x80")
-        assert cache.get("k", default="miss") == "miss"
+        assert cache.get(key, default="miss") == "miss"
+
+    def test_flipped_provenance_byte_is_a_miss(self, tmp_path):
+        # The checksum covers the provenance line too.
+        cache = ResultCache(root=tmp_path)
+        key = cache.store("ns", {"seed": 1}, 42)
+        path = next(tmp_path.glob("*.pkl"))
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"ns"') + 1] ^= 1
+        path.write_bytes(bytes(data))
+        assert cache.read(key) is None
 
     def test_unwritable_root_is_silent(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         cache = ResultCache(root=target)
-        cache.put("k", 1)  # must not raise
-        assert cache.get("k") is None
+        key = cache.store("ns", {}, 1)  # must not raise
+        assert cache.get(key) is None
 
     def test_unpicklable_value_is_silent(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("k", lambda: None)  # lambdas don't pickle; must not raise
-        assert cache.get("k") is None
+        # lambdas don't pickle; must not raise
+        key = cache.store("ns", {}, lambda: None)
+        assert cache.get(key) is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        a = cache.store("ns", {"seed": 0}, 1)
+        cache.store("ns", {"seed": 1}, 2)
         assert cache.clear() == 2
-        assert not cache.contains("a")
+        assert cache.read(a) is None
         assert cache.clear() == 0
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        cache.put("k", list(range(1000)))
+        cache.store("ns", {}, list(range(1000)))
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_values_survive_new_instance(self, tmp_path):
-        ResultCache(root=tmp_path).put("k", "persisted")
-        assert ResultCache(root=tmp_path).get("k") == "persisted"
-
-    def test_entry_is_plain_pickle(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        cache.put("k", {"v": 3})
-        path = next(tmp_path.glob("*.pkl"))
-        with path.open("rb") as fh:
-            assert pickle.load(fh) == {"v": 3}
+        key = ResultCache(root=tmp_path).store("ns", {}, "persisted")
+        assert ResultCache(root=tmp_path).get(key) == "persisted"
 
 
 class TestStore:
     def test_store_then_cached_hits(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         key = cache.store("ns", {"seed": 1}, {"fuel": 2.0}, wall_s=0.5)
-        assert cache.contains(key)
+        assert cache.read(key) is not None
         # cached() must serve the stored value without recomputing.
         value = cache.cached("ns", {"seed": 1}, lambda: pytest_fail())
         assert value == {"fuel": 2.0}
 
     def test_store_writes_provenance_manifest(self, tmp_path):
-        import json
+        from repro.obs import validate_manifest
 
         cache = ResultCache(root=tmp_path)
-        key = cache.store("ns", {"seed": 1}, 42)
-        manifest = json.loads((tmp_path / f"{key}.manifest.json").read_text())
+        key = cache.store("ns", {"seed": 1}, 42, wall_s=0.5)
+        # One file per entry: provenance line, pickle, SHA-256 trailer.
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.pkl"]
+        line = (tmp_path / f"{key}.pkl").read_bytes().partition(b"\n")[0]
+        manifest = json.loads(line)
+        assert validate_manifest(manifest) == []
         assert manifest["name"] == "ns"
         assert manifest["params"] == {"seed": 1}
+        assert manifest["route"] == "cached"
+        assert manifest["wall_s"] == 0.5
+        assert manifest["fingerprint"] == code_fingerprint()
+        assert cache.read(key) == (manifest, 42)
 
     def test_disabled_store_returns_key_without_writing(self, tmp_path):
         cache = ResultCache(root=tmp_path, enabled=False)
@@ -190,22 +209,25 @@ class TestStatsAndSelectiveClear:
         self._fill(cache)
         stats = cache.stats()
         assert stats.entries == 3
-        assert stats.bytes > 0
+        assert stats.bytes == sum(p.stat().st_size for p in tmp_path.iterdir())
         assert stats.namespaces["exp/scenario"].entries == 2
         assert stats.namespaces["sweep/beta"].entries == 1
-        assert stats.sidecar_files > 0
-        assert stats.total_bytes == stats.bytes + stats.sidecar_bytes
 
     def test_stats_on_empty_cache(self, tmp_path):
         stats = ResultCache(root=tmp_path / "none").stats()
         assert stats.entries == 0 and stats.namespaces == {}
 
     def test_manifestless_entries_group_as_unknown(self, tmp_path):
+        # An entry whose first line is no provenance record (an older
+        # version's bare pickle, or damage) cannot be attributed.
         cache = ResultCache(root=tmp_path)
         key = cache.store("ns", {"seed": 1}, 42)
-        (tmp_path / f"{key}.manifest.json").unlink()
+        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps(42) + b"\x00" * 32)
+        (tmp_path / "other.pkl").write_bytes(b'{"no": "name"}\n')
         stats = cache.stats()
         assert stats.namespaces == {"(unknown)": stats.namespaces["(unknown)"]}
+        assert stats.namespaces["(unknown)"].entries == 2
+        assert cache.clear(namespace="ns") == 0
 
     def test_clear_namespace_leaves_others(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -217,23 +239,23 @@ class TestStatsAndSelectiveClear:
         assert stats.namespaces["sweep/beta"].entries == 1
 
     def test_clear_namespace_removes_sidecars_too(self, tmp_path):
+        # Entries carry their provenance inline: a selective clear
+        # leaves exactly the other namespaces' entry files behind.
         cache = ResultCache(root=tmp_path)
         self._fill(cache)
+        kept = cache.store("sweep/beta", {"seed": 1}, 0.25)
         cache.clear(namespace="exp/scenario")
-        # No orphaned manifests: every remaining manifest has its pickle.
-        for manifest in tmp_path.glob("*.manifest.json"):
-            stem = manifest.name[: -len(".manifest.json")]
-            assert (tmp_path / f"{stem}.pkl").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{kept}.pkl", f"{cache_key('sweep/beta', {'seed': 0})}.pkl"]
+        )
 
     def test_full_clear_sweeps_orphans_and_tmp(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         self._fill(cache)
-        # Orphan one manifest by deleting its pickle by hand, and drop a
+        # Sidecars an older version wrote beside each entry, and a
         # stray temp file -- the historical leak cases.
-        victim = next(tmp_path.glob("*.pkl"))
-        victim.unlink()
+        (tmp_path / f"{'a' * 32}.fp").write_text("aaaa0000\n")
+        (tmp_path / f"{'b' * 32}.manifest.json").write_text("{}")
         (tmp_path / "stray.tmp").write_text("x")
-        cache.clear()
-        assert list(tmp_path.glob("*.manifest.json")) == []
-        assert list(tmp_path.glob("*.fp")) == []
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert cache.clear() == 3
+        assert list(tmp_path.iterdir()) == []
