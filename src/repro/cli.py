@@ -362,11 +362,34 @@ def _experiment_payload(
     }
 
 
+def _all_experiment_payloads(store, stall_factor: float) -> list[dict]:
+    """:func:`_experiment_payload` of every experiment under ``store``.
+
+    An experiment whose state cannot be loaded is still listed, with
+    status ``unreadable`` and the reason under ``error``; the reason also
+    goes to stderr.
+    """
+    from .errors import ConfigurationError
+
+    payloads = []
+    for name in store.names():
+        try:
+            payloads.append(_experiment_payload(store, name, stall_factor))
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            payloads.append({
+                "name": name, "status": "unreadable", "error": str(exc),
+                "tasks": {}, "heartbeats": [], "stalled": False, "failed": 0,
+            })
+    return payloads
+
+
 def _payload_exit_code(payloads: list[dict]) -> int:
-    """Scripting contract: 4 = stall detected, 1 = failures, 0 = ok."""
+    """Scripting contract: 4 = stall detected, 1 = failures or an
+    unreadable experiment, 0 = ok."""
     if any(p["stalled"] for p in payloads):
         return 4
-    if any(p["failed"] for p in payloads):
+    if any(p["failed"] or p["status"] == "unreadable" for p in payloads):
         return 1
     return 0
 
@@ -448,23 +471,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """``fcdpm top`` -- every experiment's live heartbeats in one table."""
     import json as _json
 
-    from .errors import ConfigurationError
-
     store = _exp_store(args)
 
-    def collect() -> list[dict]:
-        payloads = []
-        for name in store.names():
-            try:
-                payloads.append(
-                    _experiment_payload(store, name, args.stall_factor)
-                )
-            except ConfigurationError:
-                continue
-        return payloads
-
     def render_once() -> int:
-        payloads = collect()
+        payloads = _all_experiment_payloads(store, args.stall_factor)
         if args.json:
             print(_json.dumps(payloads, indent=2, sort_keys=True))
             return _payload_exit_code(payloads)
@@ -473,7 +483,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         for p in payloads:
             if not p["heartbeats"]:
                 rows.append([p["name"], p["status"], "-", "-", "-", "-",
-                             str(p["tasks"]["total"]), "-", "-", "-"])
+                             str(p["tasks"].get("total", "-")), "-", "-", "-"])
                 continue
             for b in p["heartbeats"]:
                 if b["stalled"]:
@@ -577,25 +587,26 @@ def _cmd_exp(args: argparse.Namespace) -> int:
             if getattr(args, "json", False):
                 import json as _json
 
-                names = [args.name] if args.name else store.names()
-                payloads = [
-                    _experiment_payload(store, name, args.stall_factor)
-                    for name in names
-                ]
-                out = payloads[0] if args.name else payloads
+                if args.name:
+                    out = _experiment_payload(store, args.name, args.stall_factor)
+                    payloads = [out]
+                else:
+                    payloads = out = _all_experiment_payloads(
+                        store, args.stall_factor
+                    )
                 print(_json.dumps(out, indent=2, sort_keys=True))
                 return _payload_exit_code(payloads)
             if args.name is None:
+                payloads = _all_experiment_payloads(store, args.stall_factor)
                 rows = [["experiment", "status", "tasks", "done"]]
-                for name in store.names():
-                    state = store.load(name)
-                    counts = state.counts()
-                    rows.append([
-                        name, state.status, str(len(state.tasks)),
-                        str(counts["done"] + counts["analyzed"]),
-                    ])
+                for p in payloads:
+                    tasks = p["tasks"]
+                    done = tasks["done"] + tasks["analyzed"] if tasks else "-"
+                    rows.append([p["name"], p["status"],
+                                 str(tasks.get("total", "-")), str(done)])
                 print(format_table(rows, title=f"experiments under {store.root}"))
-                return 0
+                unreadable = any(p["status"] == "unreadable" for p in payloads)
+                return 1 if unreadable else 0
             _print_exp_status(store.load(args.name))
             return 0
         if args.action == "merge":
@@ -769,7 +780,8 @@ def main(argv: list[str] | None = None) -> int:
     exp_status.add_argument(
         "--json", action="store_true",
         help="machine-readable status incl. live heartbeats "
-        "(exit 4 on a detected stall, 1 on failed tasks)",
+        "(exit 4 on a detected stall, 1 on failed tasks or an "
+        "unreadable experiment)",
     )
     exp_watch = exp_sub.add_parser(
         "watch", help="refreshing live-progress view of a running experiment"
@@ -821,7 +833,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     top.add_argument(
         "--once", action="store_true",
-        help="render one frame and exit (exit 4 = stall, 1 = failures)",
+        help="render one frame and exit (exit 4 = stall, 1 = failures or "
+        "an unreadable experiment)",
     )
     top.add_argument(
         "--json", action="store_true", help="emit status payloads as JSON"

@@ -21,7 +21,8 @@ Eq. 11, range clamping, the ``Cmax`` correction, ``Cend != Cini``
 closed form.  :func:`solve_slot_numeric` cross-checks it with a generic
 convex solver (and supports non-linear efficiency models for the
 ablation benches).  :func:`solve_horizon` extends the argument to a
-whole trace: the offline optimum used as a lower bound.
+whole trace -- exactly, as the taut string through the storage tube --
+giving the offline optimum used as a lower bound.
 """
 
 from __future__ import annotations
@@ -239,9 +240,16 @@ def solve_horizon(
     per-period FC output minimizing total fuel subject to the storage
     staying in ``[0, c_max]`` and finishing at ``c_end``.
 
-    Because the fuel map is convex and shared by all periods, the
-    optimum equalizes outputs wherever storage bounds allow -- a convex
-    program solved here with SLSQP.  Returns ``(outputs, fuel)``.
+    In cumulative FC charge ``F`` at the period ends the storage bounds
+    form a tube ``Q_k - c_ini <= F_k <= Q_k - c_ini + c_max`` (``Q_k`` the
+    cumulative demand) with the last knot pinned to
+    ``Q_n + c_end - c_ini``.  The shortest path through that tube -- the
+    taut string -- minimizes ``sum(t_k * f(x_k))`` for every convex ``f``
+    at once, so it is exact for any convex fuel map: outputs are flat
+    wherever storage allows and bend only where the storage touches a
+    bound.  The ``[IF_min, IF_max]`` box is convex too, so the taut string
+    stays inside it whenever any feasible schedule exists; otherwise
+    :class:`InfeasibleError` is raised.  Returns ``(outputs, fuel)``.
     """
     t = np.asarray(durations, dtype=float)
     q = np.asarray(demands, dtype=float)
@@ -250,33 +258,55 @@ def solve_horizon(
     if np.any(t <= 0) or np.any(q < 0):
         raise RangeError("durations must be positive and demands non-negative")
     target = c_ini if c_end is None else c_end
+    if not 0.0 <= target <= c_max:
+        raise InfeasibleError(
+            f"horizon end charge {target} outside the storage range [0, {c_max}]"
+        )
     lo, hi = model.if_min, model.if_max
 
     n = t.size
-    flat = (q.sum() + target - c_ini) / t.sum()
-    x0 = np.full(n, min(max(flat, lo), hi))
+    knots = np.concatenate(([0.0], np.cumsum(t))).tolist()
+    lower = np.concatenate(([0.0], np.cumsum(q) - c_ini)).tolist()
+    upper = [b + c_max for b in lower]
+    # The pinned end is summed as the flat level of Eq. 11/13 is, so an
+    # unconstrained horizon returns exactly that level.
+    knots[n] = float(t.sum())
+    lower[n] = upper[n] = float(q.sum() + target - c_ini)
 
-    def objective(x: np.ndarray) -> float:
-        return float(sum(model.fc_current(float(v)) * ti for v, ti in zip(x, t)))
+    # Funnel walk: from the current vertex keep the steepest slope to a
+    # lower bound and the shallowest slope to an upper bound; when one
+    # side's new bound crosses the other side's tightest slope, the string
+    # bends at the knot that set that slope.
+    outputs = [0.0] * n
+    start, f0 = 0, 0.0
+    while start < n:
+        lo_slope, up_slope = -np.inf, np.inf
+        lo_knot = up_knot = start + 1
+        for k in range(start + 1, n + 1):
+            span = knots[k] - knots[start]
+            s_lo = (lower[k] - f0) / span
+            s_up = (upper[k] - f0) / span
+            if s_lo > up_slope:
+                end, f_end = up_knot, upper[up_knot]
+                break
+            if s_up < lo_slope:
+                end, f_end = lo_knot, lower[lo_knot]
+                break
+            if s_lo > lo_slope:
+                lo_slope, lo_knot = s_lo, k
+            if s_up < up_slope:
+                up_slope, up_knot = s_up, k
+        else:
+            end, f_end = n, lower[n]
+        slope = (f_end - f0) / (knots[end] - knots[start])
+        outputs[start:end] = [slope] * (end - start)
+        start, f0 = end, f_end
 
-    def trajectory(x: np.ndarray) -> np.ndarray:
-        return c_ini + np.cumsum(x * t - q)
-
-    constraints = [
-        {"type": "eq", "fun": lambda x: trajectory(x)[-1] - target},
-        {"type": "ineq", "fun": lambda x: trajectory(x)},
-    ]
-    if np.isfinite(c_max):
-        constraints.append({"type": "ineq", "fun": lambda x: c_max - trajectory(x)})
-
-    result = optimize.minimize(
-        objective,
-        x0,
-        method="SLSQP",
-        bounds=[(lo, hi)] * n,
-        constraints=constraints,
-        options={"maxiter": 500, "ftol": 1e-12},
-    )
-    if not result.success:
-        raise InfeasibleError(f"horizon solve failed: {result.message}")
-    return np.asarray(result.x, dtype=float), float(result.fun)
+    x = np.asarray(outputs)
+    if x.min() < lo - _EPS or x.max() > hi + _EPS:
+        raise InfeasibleError(
+            f"horizon needs outputs in [{x.min():.6g}, {x.max():.6g}] A, "
+            f"outside the load-following range [{lo}, {hi}]"
+        )
+    fuel = sum(model.fc_current(float(v)) * ti for v, ti in zip(x, t))
+    return x, float(fuel)

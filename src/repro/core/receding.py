@@ -6,9 +6,10 @@ cannot be carried across slots even when the predictor foresees a heavy
 slot coming.  This controller generalizes the idea with model-predictive
 control: at each idle start it lays out the next ``horizon`` predicted
 slots (the upcoming slot from the live predictions, the rest from the
-predictors' stationary estimates), solves the convex multi-period
-problem of :func:`repro.core.optimizer.solve_horizon`, applies the first
-period's output, and re-plans at the next boundary.
+predictors' stationary estimates), solves the multi-period problem
+exactly with :func:`repro.core.optimizer.solve_horizon` (the taut string
+through the storage tube), applies the first period's output, and
+re-plans at the next boundary.
 
 With ``horizon = 1`` it degenerates to FC-DPM's per-slot behaviour; the
 ablation bench sweeps the horizon length and shows the (modest) fuel

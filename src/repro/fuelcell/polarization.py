@@ -80,6 +80,7 @@ class PolarizationCurve:
             raise ConfigurationError("a stack needs at least one cell")
         self.params = params
         self.n_cells = n_cells
+        self._mpp: tuple[float, float] | None = None
 
     # -- scalar / vector evaluation ---------------------------------------
 
@@ -115,13 +116,19 @@ class PolarizationCurve:
 
     # -- derived characteristics -------------------------------------------
 
-    def max_power_point(self, resolution: int = 20_001) -> tuple[float, float]:
-        """Locate the maximum power point.
+    def max_power_point(self) -> tuple[float, float]:
+        """Locate the maximum power point (searched once per curve).
 
         Returns ``(current_A, power_W)``.  Uses a dense grid search over
         ``[0, i_limit)`` followed by a parabolic refinement; the curve is
         smooth and unimodal in practice so this is robust and fast.
         """
+        if self._mpp is None:
+            self._mpp = self._search_max_power()
+        return self._mpp
+
+    def _search_max_power(self) -> tuple[float, float]:
+        resolution = 20_001
         grid = np.linspace(0.0, self.params.i_limit * (1 - 1e-6), resolution)
         power = self.stack_power(grid)
         k = int(np.argmax(power))

@@ -34,7 +34,6 @@ class FCStack:
     ) -> None:
         self.curve = PolarizationCurve(params, n_cells=n_cells)
         self.n_cells = n_cells
-        self._mpp: tuple[float, float] | None = None
 
     @classmethod
     def bcs_20w(cls) -> "FCStack":
@@ -58,10 +57,8 @@ class FCStack:
 
     @property
     def max_power_point(self) -> tuple[float, float]:
-        """``(Ifc_A, P_W)`` at maximum output power (cached)."""
-        if self._mpp is None:
-            self._mpp = self.curve.max_power_point()
-        return self._mpp
+        """``(Ifc_A, P_W)`` at maximum output power (cached on the curve)."""
+        return self.curve.max_power_point()
 
     @property
     def power_capacity(self) -> float:

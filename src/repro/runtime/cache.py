@@ -119,21 +119,15 @@ class ResultCache:
         The SHA-256 trailer covers the provenance line and the pickle,
         so a torn, bit-flipped or foreign file is a miss, never a value.
         """
-        if not self.enabled:
-            return None
-        try:
-            data = self._path(key).read_bytes()
-            body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
-            if len(data) <= _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
-                return None
-            header, _, pickled = body.partition(b"\n")
-            return json.loads(header), pickle.loads(pickled)
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
+        return self._load(key, parse_header=True)
 
     def get(self, key: str, default: Any = None) -> Any:
-        """Load a cached value, or ``default`` on any kind of miss."""
-        entry = self.read(key)
+        """Load a cached value, or ``default`` on any kind of miss.
+
+        Checks the same SHA-256 as :meth:`read` but leaves the
+        provenance line unparsed.
+        """
+        entry = self._load(key, parse_header=False)
         if entry is None:
             self.misses += 1
             if OBS.enabled:
@@ -143,6 +137,21 @@ class ResultCache:
         if OBS.enabled:
             OBS.metrics.counter("runtime.cache.hits").inc()
         return entry[1]
+
+    def _load(self, key: str, parse_header: bool) -> tuple[Any, Any] | None:
+        """``(provenance or None, value)`` of a verified entry, else None."""
+        if not self.enabled:
+            return None
+        try:
+            data = self._path(key).read_bytes()
+            body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+            if len(data) <= _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
+                return None
+            header, _, pickled = body.partition(b"\n")
+            provenance = json.loads(header) if parse_header else None
+            return provenance, pickle.loads(pickled)
+        except (OSError, ValueError, pickle.UnpicklingError, EOFError, AttributeError):
+            return None
 
     def store(
         self, namespace: str, params: Any, value: Any, wall_s: float = 0.0

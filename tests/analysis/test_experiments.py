@@ -11,6 +11,20 @@ class TestMpcComparison:
         assert set(fuels) == {"fc-dpm", "mpc-h1", "mpc-h2"}
         assert all(f > 0 for f in fuels.values())
 
+    def test_plans_without_slsqp(self, monkeypatch):
+        # The receding-horizon plans come from the taut string alone, and
+        # reproduce the fuels the SLSQP plans gave bit for bit.
+        def no_slsqp(*args, **kwargs):
+            raise AssertionError("SLSQP called on the report path")
+
+        monkeypatch.setattr("scipy.optimize.minimize", no_slsqp)
+        assert mpc_comparison(seed=2007) == {
+            "fc-dpm": 846.4035134418293,
+            "mpc-h1": 833.0716170425236,
+            "mpc-h2": 829.465868392994,
+            "mpc-h4": 829.8154656053936,
+        }
+
     def test_mpc_competitive(self):
         fuels = mpc_comparison(horizons=(2,))
         assert fuels["mpc-h2"] <= fuels["fc-dpm"] * 1.01

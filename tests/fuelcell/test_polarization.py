@@ -85,6 +85,24 @@ class TestInverse:
             i = stack_curve.current_for_power(p)
             assert stack_curve.stack_power(i) == pytest.approx(p, rel=1e-6)
 
+    def test_max_power_grid_searched_once_per_curve(self, monkeypatch):
+        grids = []
+        stack_power = PolarizationCurve.stack_power
+
+        def counting(self, current):
+            if np.size(current) == 20_001:
+                grids.append(self)
+            return stack_power(self, current)
+
+        monkeypatch.setattr(PolarizationCurve, "stack_power", counting)
+        first = PolarizationCurve(BCS_20W_CELL, n_cells=20)
+        second = PolarizationCurve(BCS_20W_CELL, n_cells=20)
+        for curve in (first, second):
+            for p in (2.0, 8.0, 15.0):
+                curve.current_for_power(p)
+            curve.max_power_point()
+        assert grids == [first, second]
+
     def test_current_for_power_picks_rising_branch(self, stack_curve):
         i_mpp, _ = stack_curve.max_power_point()
         assert stack_curve.current_for_power(10.0) < i_mpp

@@ -1,12 +1,19 @@
 """Monte-Carlo runner tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.montecarlo import SeedSummary, _t95, run_seeds, summarize
 
-#: The hand-coded critical-value table `_t95` replaced, df 1..30.  The
-#: scipy-backed values must keep agreeing with it to 1e-3 so historical
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The hand-coded 3-decimal critical-value table `_t95` once carried, df
+#: 1..30.  Today's values must keep agreeing with it to 1e-3 so historical
 #: confidence intervals stay reproducible.
 _OLD_T95_TABLE = [
     12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
@@ -24,6 +31,32 @@ class TestT95:
 
     def test_beyond_table_exceeds_normal_quantile(self):
         assert 1.96 < _t95(200) < 1.98
+
+    @pytest.mark.parametrize("df", range(1, 31))
+    def test_literals_equal_scipy(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        assert _t95(df) == float(stats.t.ppf(0.975, df))
+
+    @pytest.mark.parametrize("df", [31, 50, 200, 10_000])
+    def test_expansion_tracks_scipy(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        assert _t95(df) == pytest.approx(float(stats.t.ppf(0.975, df)), rel=1e-7)
+
+    def test_summary_leaves_scipy_stats_unimported(self):
+        # The confidence interval of a report's seed study must not pay
+        # for importing scipy.stats.
+        code = (
+            "import sys\n"
+            "from repro.sim.montecarlo import summarize\n"
+            "summarize('x', [1.0, 2.0, 4.0, 8.0, 16.0]).ci95_halfwidth\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSummarize:

@@ -284,11 +284,30 @@ class TestExpCommand:
         assert main(["exp", "status", "--state-dir", state_dir]) == 0
         assert "demo" in capsys.readouterr().out
 
+    def test_status_without_name_lists_unreadable(self, tmp_path, capsys):
+        state_dir = self._define(tmp_path, capsys)
+        _plant_truncated_state(state_dir)
+        assert main(["exp", "status", "--state-dir", state_dir]) == 1
+        captured = capsys.readouterr()
+        assert "demo" in captured.out
+        assert "broken" in captured.out and "unreadable" in captured.out
+        assert "broken" in captured.err and "error:" not in captured.out
+
     def test_missing_experiment_is_a_config_error(self, tmp_path, capsys):
         assert main([
             "exp", "run", "ghost", "--state-dir", str(tmp_path / "x"),
         ]) == 2
         assert "error:" in capsys.readouterr().out
+
+
+def _plant_truncated_state(state_dir: str) -> None:
+    """Add an experiment ``broken`` whose ``state.json`` was cut short."""
+    from pathlib import Path
+
+    good = next(Path(state_dir).glob("*/state.json")).read_text()
+    broken = Path(state_dir) / "broken"
+    broken.mkdir()
+    (broken / "state.json").write_text(good[: len(good) // 2])
 
 
 class TestCacheCommand:
@@ -409,6 +428,28 @@ class TestLiveWatchCommands:
         assert main(["top", "--once", "--state-dir", state_dir]) == 0
         out = capsys.readouterr().out
         assert "live" in out and "final" in out
+
+    def test_top_once_lists_unreadable(self, tmp_path, capsys):
+        state_dir = self._define_and_run_live(tmp_path, capsys)
+        _plant_truncated_state(state_dir)
+        assert main(["top", "--once", "--state-dir", state_dir]) == 1
+        captured = capsys.readouterr()
+        assert "live" in captured.out and "final" in captured.out
+        assert "broken" in captured.out and "unreadable" in captured.out
+        assert "unreadable state file" in captured.err
+
+    def test_status_json_lists_unreadable(self, tmp_path, capsys):
+        import json
+
+        state_dir = self._define_and_run_live(tmp_path, capsys)
+        _plant_truncated_state(state_dir)
+        assert main([
+            "exp", "status", "--json", "--state-dir", state_dir,
+        ]) == 1
+        payloads = {p["name"]: p for p in json.loads(capsys.readouterr().out)}
+        assert payloads["live"]["status"] == "done"
+        assert payloads["broken"]["status"] == "unreadable"
+        assert "unreadable state file" in payloads["broken"]["error"]
 
     def test_top_once_json(self, tmp_path, capsys):
         import json
