@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint bench bench-smoke bench-vector bench-e2e-test trace-smoke exp-smoke live-smoke report report-check export examples all
+.PHONY: install test lint bench bench-smoke bench-vector bench-e2e-test trace-smoke exp-smoke live-smoke report report-check reachability export examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -83,7 +83,7 @@ exp-smoke:
 	test -z "$$(ls exp-smoke-out | grep -v -e '\.pkl$$' -e '^experiments$$')"
 
 # Live-telemetry smoke: run a sharded experiment with --live flushing,
-# validate every heartbeat + OpenMetrics exposition structurally
+# validate every heartbeat + metrics snapshot JSON structurally
 # (scripts/check_live.py), assert the watch/status/top scripting
 # surface (exit 0 on a healthy finished run), then inject a stall into
 # the heartbeats and assert `exp watch --once` exits 4.  Artifacts land
@@ -98,8 +98,8 @@ live-smoke:
 		--shard 2/2 --live --live-interval 0.2
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp merge live-a
 	$(PYTHON) scripts/check_live.py live-smoke-out/experiments/live-a \
-		--require-final --require-sample exp_tasks_done_total \
-		--require-sample sim_batch_rows_completed_total
+		--require-final --require-sample exp.tasks_done \
+		--require-sample sim.batch_rows_completed
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp watch live-a --once
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp status live-a --json > /dev/null
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli top --once
@@ -126,6 +126,13 @@ report-check:
 	{ cat tests/goldens/full_report_seed2007_n5.txt; echo; } | cmp - report-check.txt
 	@rm -f report-check.txt
 	@echo "report-check ok (byte-identical to the golden)"
+
+# Reachability report: run every fcdpm command (--live, --workers 2 and
+# cache clear included) and simulate_batch at widths 1, 2 and 16 under a
+# call profiler, then print the never-called function-body lines of
+# src/repro per file and in total (about 8 s).  A report, not a gate.
+reachability:
+	$(PYTHON) scripts/reachability.py
 
 export:
 	$(PYTHON) -m repro.cli export artifacts/

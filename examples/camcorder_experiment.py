@@ -18,6 +18,14 @@ from repro.analysis.report import ascii_plot, format_table
 from repro.sim import SlotSimulator, compare
 
 
+def if_spread(result) -> float:
+    """Time-weighted standard deviation of the FC output current (A)."""
+    times, values = result.recorder.step_series("i_f")
+    weights = np.diff(times)
+    mean = np.average(values, weights=weights)
+    return float(np.sqrt(np.average((values - mean) ** 2, weights=weights)))
+
+
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 2007
     trace = generate_mpeg_trace(seed=seed)
@@ -60,12 +68,13 @@ def main() -> None:
         ("asap-dpm", "i_f", "(b) FC output IF under asap-dpm (A)"),
         ("fc-dpm", "i_f", "(c) FC output IF under fc-dpm (A)"),
     ):
-        grid, values = results[key].recorder.resample(field, dt=1.0, t_max=300.0)
+        times, values = results[key].recorder.step_series(field, t_max=300.0)
+        mids = (times[:-1] + times[1:]) / 2
         print()
-        print(ascii_plot(grid, values, title=title, height=10))
+        print(ascii_plot(mids, values, title=title, height=10))
 
-    flat_asap = np.std(results["asap-dpm"].recorder.resample("i_f", 1.0)[1])
-    flat_fc = np.std(results["fc-dpm"].recorder.resample("i_f", 1.0)[1])
+    flat_asap = if_spread(results["asap-dpm"])
+    flat_fc = if_spread(results["fc-dpm"])
     print(f"\nstd(IF): asap-dpm {flat_asap:.3f} A vs fc-dpm {flat_fc:.3f} A "
           "-- the flat profile is what saves the fuel")
 

@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Validate live-telemetry artifacts: heartbeats + OpenMetrics expositions.
+"""Validate live-telemetry artifacts: heartbeats + metrics snapshots.
 
-Thin CLI over :func:`repro.obs.live.validate_heartbeat` and
-:func:`repro.obs.openmetrics.validate_exposition`, used by
+Thin CLI over :func:`repro.obs.live.validate_heartbeat`, used by
 ``make live-smoke`` and CI to assert that every ``heartbeat*.json`` and
-``metrics*.prom`` under an experiment directory is structurally sound:
-heartbeat schema/consistency, exposition terminator + naming rules, and
-(optionally) that specific metric families actually got flushed.
+``metrics*.json`` under an experiment directory is structurally sound:
+heartbeat schema/consistency, a metrics file that is a JSON object of
+instrument dicts (each with a ``type``), and (optionally) that specific
+instruments actually got flushed.
 
 Accepts experiment directories (searched recursively).  Flags:
 
 ``--require-final``
     every heartbeat must be marked ``final`` (a completed run).
 ``--require-sample NAME`` (repeatable)
-    at least one exposition must contain a sample with this exact
-    OpenMetrics name (e.g. ``exp_tasks_done_total``).
+    at least one metrics file must hold an instrument with this
+    registry name (e.g. ``exp.tasks_done``); labels (``{...}``) are
+    ignored, so ``sim.route`` matches ``sim.route{path=fast}``.
 ``--inject-stall``
     instead of validating, rewrite every heartbeat non-final with a
     stale ``updated`` timestamp -- the smoke test's crash simulator for
@@ -30,6 +31,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+
+def validate_metrics(data: object) -> list[str]:
+    """Problems with one metrics snapshot: a JSON object mapping each
+    registry name to an instrument dict that names its ``type``."""
+    if not isinstance(data, dict):
+        return [f"expected a JSON object, got {type(data).__name__}"]
+    return [
+        f"{key!r}: not an instrument dict with a 'type'"
+        for key, value in data.items()
+        if not (isinstance(value, dict) and isinstance(value.get("type"), str))
+    ]
 
 
 def inject_stall(targets: list[Path], age_s: float) -> int:
@@ -64,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.obs.live import validate_heartbeat
-    from repro.obs.openmetrics import parse_openmetrics, validate_exposition
 
     targets = [Path(t) for t in args.targets]
     if args.inject_stall:
@@ -72,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = 0
     heartbeats = 0
-    expositions = 0
-    seen_samples: set[str] = set()
+    metric_files = 0
+    seen_names: set[str] = set()
     for target in targets:
         if not target.is_dir():
             print(f"FAIL {target}: not a directory")
@@ -93,36 +105,35 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"FAIL {path}: {problem}")
             failures += len(problems)
-        for path in sorted(target.rglob("metrics*.prom")):
-            expositions += 1
+        for path in sorted(target.rglob("metrics*.json")):
+            metric_files += 1
             try:
-                text = path.read_text()
-            except OSError as exc:
+                data = json.loads(path.read_text())
+            except (OSError, json.JSONDecodeError) as exc:
                 print(f"FAIL {path}: unreadable ({exc})")
                 failures += 1
                 continue
-            problems = validate_exposition(text)
+            problems = validate_metrics(data)
             for problem in problems:
                 print(f"FAIL {path}: {problem}")
             failures += len(problems)
             if not problems:
-                _, samples = parse_openmetrics(text)
-                seen_samples.update(name for name, _, _ in samples)
+                seen_names.update(key.partition("{")[0] for key in data)
 
     if not heartbeats:
         print("FAIL no heartbeat*.json files found")
         failures += 1
-    if not expositions:
-        print("FAIL no metrics*.prom files found")
+    if not metric_files:
+        print("FAIL no metrics*.json files found")
         failures += 1
     for name in args.require_sample:
-        if name not in seen_samples:
-            print(f"FAIL no exposition contains a {name!r} sample")
+        if name not in seen_names:
+            print(f"FAIL no metrics file holds a {name!r} instrument")
             failures += 1
     if failures:
         return 1
     print(
-        f"ok {heartbeats} heartbeat(s), {expositions} exposition(s)"
+        f"ok {heartbeats} heartbeat(s), {metric_files} metrics file(s)"
         + (f", {len(args.require_sample)} required sample(s)"
            if args.require_sample else "")
     )

@@ -10,8 +10,6 @@ from .figures import (
 )
 from .report import format_table, format_series, ascii_plot
 from .battery_contrast import ShapingCost, shaping_contrast
-from .slew import SlewResult, apply_slew_limit, slew_rate_sweep
-from .sensitivity import sensitivity_analysis, tornado_ranking
 from .export import export_all
 from .energy_density import compare_packs, camcorder_comparison, DensityComparison
 from .experiments import full_report, mpc_comparison
@@ -35,11 +33,6 @@ __all__ = [
     "format_series",
     "ascii_plot",
     "ShapingCost",
-    "SlewResult",
-    "apply_slew_limit",
-    "slew_rate_sweep",
-    "sensitivity_analysis",
-    "tornado_ranking",
     "export_all",
     "compare_packs",
     "camcorder_comparison",

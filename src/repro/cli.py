@@ -767,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     for sub_parser in (exp_run, exp_resume):
         sub_parser.add_argument(
             "--live", action="store_true",
-            help="publish live heartbeats + an OpenMetrics exposition "
+            help="publish live heartbeats + a metrics snapshot JSON "
             "under the experiment dir while running (fcdpm exp watch)",
         )
         sub_parser.add_argument(

@@ -159,15 +159,16 @@ class FCDPMController(SourceController):
 
     def output(self, ctx: SegmentContext) -> float:
         if ctx.phase == "idle":
-            # Storage-saturation guard: when the idle ran far longer
-            # than predicted the planned surplus has nowhere to go (the
-            # storage is full and the bleeder would burn it) -- or, the
-            # other way, a too-low plan has emptied the storage under a
-            # higher-than-planned idle load.  Follow the load for the
-            # rest of the period; on the paper's 8-20 s workloads the
-            # guard fires rarely (a handful of slots per trace) with a
-            # negligible fuel effect -- its purpose is heavy-tailed
-            # workloads (see tests/workload/test_wlan.py).
+            # Storage-saturation guard.  IF,i was planned for the
+            # predicted idle; when the storage already sits at a bound,
+            # that plan would waste fuel or starve the load.  Full (an
+            # idle that ran longer than predicted), a surplus plan would
+            # send its excess to the bleeder as burnt fuel.  Empty (a
+            # task above the FC ceiling drained it), a plan below the
+            # segment's load would leave load unserved.  Either way,
+            # follow the load for this segment.  On the paper's 8-20 s
+            # workloads only the full branch fires, on a handful of
+            # slots per trace with a negligible fuel effect.
             if (
                 ctx.storage_charge >= 0.999 * ctx.storage_capacity
                 and self._if_idle > ctx.i_load

@@ -387,7 +387,7 @@ def run_experiment(
         defers to ``$FCDPM_LIVE_INTERVAL``, ``False`` forces it off.
         When on (and a ``store`` provides a directory), a background
         :class:`~repro.obs.live.LiveFlusher` publishes per-shard
-        heartbeats + an OpenMetrics exposition under the experiment
+        heartbeats + a metrics snapshot JSON under the experiment
         dir for ``fcdpm exp watch`` / ``fcdpm top``.
 
     Returns an :class:`ExperimentRun`.  A cell's commit is its cache

@@ -17,15 +17,13 @@ The observability layer for the runtime/sim/power stack.  Four pieces:
     JSONL dumps, Chrome ``chrome://tracing`` files, human summaries
     (surfaced as ``fcdpm trace summary`` / ``fcdpm run --trace``).
 
-Two live-telemetry companions stream state *during* a run:
+A live-telemetry companion streams state *during* a run:
 
 :mod:`repro.obs.live`
     A background :class:`LiveFlusher` thread publishing atomic
-    heartbeat JSONs (progress, rate, ETA, stall detection) per
-    run/shard, polled by ``fcdpm exp watch`` / ``fcdpm top``.
-:mod:`repro.obs.openmetrics`
-    OpenMetrics text exposition of the full metrics snapshot --
-    renderer, atomic writer, parser, and validator.
+    heartbeat JSONs (progress, rate, ETA, stall detection) and metrics
+    snapshot JSONs per run/shard, polled by ``fcdpm exp watch`` /
+    ``fcdpm top``.
 
 Everything is **off by default** and reached through the
 :data:`~repro.obs.state.OBS` switchboard -- instrumented hot paths cost
@@ -55,12 +53,6 @@ from .live import (
 )
 from .manifest import MANIFEST_SCHEMA_VERSION, RunManifest, build_manifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .openmetrics import (
-    parse_openmetrics,
-    render_openmetrics,
-    validate_exposition,
-    write_openmetrics,
-)
 from .schema import (
     validate_chrome_trace,
     validate_manifest,
@@ -97,11 +89,8 @@ __all__ = [
     "iter_heartbeats",
     "live_interval",
     "observing",
-    "parse_openmetrics",
     "read_jsonl",
-    "render_openmetrics",
     "trace_summary",
-    "validate_exposition",
     "validate_heartbeat",
     "validate_chrome_trace",
     "validate_manifest",
@@ -109,7 +98,6 @@ __all__ = [
     "validate_span_set",
     "validate_trace_dir",
     "write_chrome_trace",
-    "write_openmetrics",
     "write_spans_jsonl",
     "write_trace_bundle",
 ]

@@ -1,4 +1,4 @@
-"""Live telemetry: streaming heartbeats + OpenMetrics flushing.
+"""Live telemetry: streaming heartbeats + metrics snapshots.
 
 The PR-4 obs layer is post-hoc -- spans and metrics only surface after
 a run finishes and exports.  This module adds the *monitoring-in-the-
@@ -8,10 +8,9 @@ configurable interval, atomically publishes
 * a **heartbeat JSON** per run/shard (pid, host, start/update
   timestamps, task progress, rate, ETA, current phase, cache-hit
   ratio) -- the file ``fcdpm exp watch`` / ``fcdpm top`` poll; and
-* an **OpenMetrics text exposition** of the full
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot
-  (:mod:`repro.obs.openmetrics`) -- the exact artifact a future
-  ``fcdpm serve /metrics`` endpoint will serve.
+* a **metrics JSON** holding the full
+  :class:`~repro.obs.metrics.MetricsRegistry` snapshot (one instrument
+  dict per registry name).
 
 Both writes are atomic (temp file + ``os.replace``), so a concurrent
 reader never sees a partial document; both are best-effort -- an
@@ -44,8 +43,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-from .openmetrics import write_openmetrics
 
 #: Bump when a heartbeat field changes meaning.
 HEARTBEAT_SCHEMA_VERSION = 1
@@ -102,11 +99,11 @@ def heartbeat_path(
     return Path(directory) / f"heartbeat{_shard_suffix(shard)}.json"
 
 
-def exposition_path(
+def metrics_path(
     directory: Path | str, shard: tuple[int, int] | str | None = None
 ) -> Path:
-    """Where a run/shard's OpenMetrics exposition lives."""
-    return Path(directory) / f"metrics{_shard_suffix(shard)}.prom"
+    """Where a run/shard's metrics snapshot JSON lives."""
+    return Path(directory) / f"metrics{_shard_suffix(shard)}.json"
 
 
 def write_atomic_json(path: Path | str, payload: Any) -> Path:
@@ -359,7 +356,7 @@ def _cache_hit_ratio(snapshot: dict[str, dict[str, Any]]) -> float | None:
 class LiveFlusher(threading.Thread):
     """Background thread that periodically publishes live telemetry.
 
-    Writes :func:`heartbeat_path` and :func:`exposition_path` under
+    Writes :func:`heartbeat_path` and :func:`metrics_path` under
     ``directory`` every ``interval`` seconds (plus once immediately on
     start and once, marked ``final``, from :meth:`stop`).  The metrics
     registry is resolved *per flush* (default: the live ``OBS.metrics``),
@@ -435,16 +432,16 @@ class LiveFlusher(threading.Thread):
         )
 
     def flush(self, final: bool = False) -> None:
-        """Write heartbeat + exposition once; IO failures are counted,
-        never raised (telemetry must not break the run)."""
+        """Write heartbeat + metrics snapshot once; IO failures are
+        counted, never raised (telemetry must not break the run)."""
         try:
             snapshot = self._snapshot_registry()
             write_atomic_json(
                 heartbeat_path(self.directory, self.shard_label),
                 self.build_heartbeat(final=final).to_dict(),
             )
-            write_openmetrics(
-                exposition_path(self.directory, self.shard_label), snapshot
+            write_atomic_json(
+                metrics_path(self.directory, self.shard_label), snapshot
             )
             self.flushes += 1
         except OSError:
@@ -485,12 +482,12 @@ __all__ = [
     "Heartbeat",
     "LiveFlusher",
     "LiveProgress",
-    "exposition_path",
     "heartbeat_age",
     "heartbeat_path",
     "is_stalled",
     "iter_heartbeats",
     "live_interval",
+    "metrics_path",
     "validate_heartbeat",
     "write_atomic_json",
 ]

@@ -39,7 +39,7 @@ from ..workload.synthetic import (
     fleet_slot_arrays,
     fleet_trace,
 )
-from ..workload.trace import LoadTrace, TaskSlot
+from ..workload.trace import LoadTrace
 
 _WORKLOAD_KINDS = ("mpeg", "experiment2", "fleet")
 _DEVICE_KINDS = ("camcorder", "randomized")
@@ -291,32 +291,6 @@ class Scenario:
         if w.kind == "fleet":
             return fleet_slot_arrays(seeds, n_slots=w.n_slots, jitter=w.jitter)
         return None
-
-    def build_traces(self, seeds) -> dict[int, LoadTrace]:
-        """Generate many seeds' workload traces in one batched pass.
-
-        ``{seed: LoadTrace}``, each trace bit-identical to
-        ``build_trace(seed)``.  Workloads with an array builder
-        synthesize every seed's values first (the dominant per-seed cost
-        of a batch sweep) and only then wrap them in slots; the rest
-        fall back to per-seed generation.
-        """
-        seed_list = [int(s) for s in seeds]
-        arrays = self.build_slot_arrays(seed_list)
-        if arrays is None:
-            return {s: self.build_trace(s) for s in seed_list}
-        t_idle, t_active, i_active = arrays
-        name = "fleet" if self.workload.kind == "fleet" else "experiment2"
-        traces: dict[int, LoadTrace] = {}
-        for r, seed in enumerate(seed_list):
-            slots = [
-                TaskSlot(t_idle=ti, t_active=ta, i_active=ia)
-                for ti, ta, ia in zip(
-                    t_idle[r].tolist(), t_active[r].tolist(), i_active[r].tolist()
-                )
-            ]
-            traces[seed] = LoadTrace(slots, name=name)
-        return traces
 
     def build_device(self) -> DeviceParams:
         """Instantiate the device parameter set."""

@@ -4,7 +4,6 @@ from .recorder import Recorder, Sample
 from .integrator import (
     Segment,
     SegmentIntegrator,
-    chunk_segments,
     plan_active_segments,
     plan_idle_segments,
 )
@@ -29,7 +28,6 @@ from .montecarlo import (
     summarize,
     table2_metrics,
 )
-from .faults import DegradedEfficiency
 from .lifetime import LifetimeResult, lifetime_comparison, run_until_empty
 from .vectorized import (
     TraceArrays,
@@ -45,7 +43,6 @@ __all__ = [
     "Sample",
     "Segment",
     "SegmentIntegrator",
-    "chunk_segments",
     "plan_active_segments",
     "plan_idle_segments",
     "RunMetrics",
@@ -63,7 +60,6 @@ __all__ = [
     "scenario_metrics",
     "summarize",
     "table2_metrics",
-    "DegradedEfficiency",
     "LifetimeResult",
     "lifetime_comparison",
     "run_until_empty",

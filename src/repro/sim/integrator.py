@@ -26,7 +26,6 @@ against device books computed from
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -93,34 +92,6 @@ def plan_active_segments(device: "DeviceParams", slot: "TaskSlot") -> list[Segme
     """
     duration = device.t_sdb_to_run + slot.t_active + device.t_run_to_sdb
     return [Segment(duration, slot.i_active, "run")]
-
-
-def chunk_segments(
-    segments: list[Segment],
-    max_segment: float | None,
-    rel_tol: float = 1e-12,
-) -> list[Segment]:
-    """Split long segments into equal re-decision chunks (if configured).
-
-    A duration within ``rel_tol`` (relative) of ``max_segment`` passes
-    through unsplit: a duration a few ULP above the limit -- e.g. one
-    produced by accumulated float arithmetic on a nominally equal slot
-    -- would otherwise split into two chunks, one of them re-deciding
-    after ~nothing.  No emitted chunk ever exceeds
-    ``max_segment * (1 + rel_tol)``.
-    """
-    if max_segment is None:
-        return segments
-    limit = max_segment * (1.0 + rel_tol)
-    out: list[Segment] = []
-    for seg in segments:
-        if seg.duration <= limit:
-            out.append(seg)
-            continue
-        n = math.ceil(seg.duration / max_segment)
-        chunk = seg.duration / n
-        out.extend(Segment(chunk, seg.i_load, seg.kind) for _ in range(n))
-    return out
 
 
 def phase_totals(segments: list[Segment]) -> tuple[float, float]:

@@ -75,34 +75,3 @@ class Recorder:
             times.append(s.t + s.dt)
             values.append(getattr(s, field))
         return np.asarray(times), np.asarray(values)
-
-    def resample(self, field: str, dt: float, t_max: float | None = None):
-        """Uniform-grid arrays ``(times, values)`` sampled every ``dt`` s."""
-        if dt <= 0:
-            raise SimulationError("resample dt must be positive")
-        if not self._samples:
-            return np.empty(0), np.empty(0)
-        end = self.duration if t_max is None else min(self.duration, t_max)
-        grid = np.arange(self._samples[0].t, end, dt)
-        edges, vals = self.step_series(field)
-        idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, len(vals) - 1)
-        return grid, np.asarray(vals)[idx]
-
-    def to_csv(self) -> str:
-        """Export all samples as CSV.
-
-        ``stack_a`` joins the per-stack currents with ``|`` (empty for
-        single-stack sources) so the file stays one row per interval.
-        """
-        lines = [
-            "t_s,dt_s,i_load_a,i_f_a,i_fc_a,storage_as,fuel_as,kind,"
-            "source_kind,stack_a"
-        ]
-        for s in self._samples:
-            stacks = "|".join(repr(c) for c in s.stack_currents)
-            lines.append(
-                f"{s.t!r},{s.dt!r},{s.i_load!r},{s.i_f!r},{s.i_fc!r},"
-                f"{s.storage_charge!r},{s.fuel_cumulative!r},{s.kind},"
-                f"{s.source_kind},{stacks}"
-            )
-        return "\n".join(lines) + "\n"

@@ -36,7 +36,6 @@ from ..obs import OBS
 from ..workload.trace import LoadTrace
 from .integrator import (
     SegmentIntegrator,
-    chunk_segments,
     plan_active_segments,
     plan_idle_segments,
 )
@@ -188,21 +187,16 @@ class SimulationResult:
         return self.delivered_charge / self.fuel  # both at 12 V & zeta folded
 
 
-def check_run_limits(
-    max_deficit_fraction: float, max_segment: float | None = None
-) -> None:
-    """Validate the deficit guard and re-decision period of a run.
+def check_run_limits(max_deficit_fraction: float) -> None:
+    """Validate the deficit guard of a run.
 
-    Written as ``not (x >= 0)`` / ``not (x > 0)`` so NaN fails too: a
-    NaN guard would silently never fire, and a NaN period would crash
-    deep in the segment chunking.
+    Written as ``not (x >= 0)`` so NaN fails too: a NaN guard would
+    silently never fire.
     """
     if not max_deficit_fraction >= 0:
         raise SimulationError(
             f"max_deficit_fraction must be >= 0, got {max_deficit_fraction!r}"
         )
-    if max_segment is not None and not max_segment > 0:
-        raise SimulationError(f"max_segment must be positive, got {max_segment!r}")
 
 
 class SlotSimulator:
@@ -220,14 +214,6 @@ class SlotSimulator:
         unserved load charge exceeds this fraction of the total load --
         it means the source is undersized for the workload and the
         resulting fuel numbers would be meaningless.
-    max_segment:
-        Optional re-decision period (s): segments longer than this are
-        split into equal chunks, so the FC controller sees fresh storage
-        state periodically *within* a long period.  ``None`` (default)
-        is the paper-faithful behaviour -- the FC output only changes at
-        power-state transitions; a finite value lets controllers guard
-        against storage saturation on heavy-tailed idle periods the
-        paper's workloads never produce.
     """
 
     def __init__(
@@ -235,13 +221,11 @@ class SlotSimulator:
         manager: PowerManager,
         record: bool = False,
         max_deficit_fraction: float = 0.05,
-        max_segment: float | None = None,
     ) -> None:
-        check_run_limits(max_deficit_fraction, max_segment)
+        check_run_limits(max_deficit_fraction)
         self.manager = manager
         self.record = record
         self.max_deficit_fraction = max_deficit_fraction
-        self.max_segment = max_segment
 
     # -- execution ---------------------------------------------------------
 
@@ -298,13 +282,8 @@ class SlotSimulator:
             if_active_used = 0.0
 
             for phase, segments in (
-                ("idle", chunk_segments(idle_segments, self.max_segment)),
-                (
-                    "active",
-                    chunk_segments(
-                        plan_active_segments(mgr.device, slot), self.max_segment
-                    ),
-                ),
+                ("idle", idle_segments),
+                ("active", plan_active_segments(mgr.device, slot)),
             ):
                 steps = integrator.run_phase(index, phase, segments)
                 for step in steps:

@@ -1,10 +1,7 @@
-"""Synthetic slot generators: Experiment 2 and extra workload families.
+"""Synthetic slot generators: Experiment 2 and its fleet variant.
 
 Experiment 2 (paper Section 5.2) randomizes the camcorder profile:
 idle ~ U[5, 25] s, active ~ U[2, 4] s, active power ~ U[12, 16] W.
-The additional exponential / Pareto / bursty families are used by the
-ablation and robustness studies (they stress the predictor in ways the
-uniform workload cannot).
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ def uniform_slot_arrays(
     ``lo + (hi - lo) * random()``, and the per-slot interleaving maps to
     stride-3 columns of the raw stream), then one vectorized affine
     transform per column family covers the whole batch.  This is the
-    synthesis kernel behind ``Scenario.build_traces`` -- trace synthesis
+    synthesis kernel behind ``Scenario.build_slot_arrays`` -- trace synthesis
     is the dominant per-seed cost of a batched sweep.
 
     ``range_scales`` (optional, one float per seed) scales all range
@@ -215,96 +212,3 @@ def fleet_trace(
         name="fleet",
     )
 
-
-def exponential_slots(
-    n_slots: int,
-    mean_idle: float,
-    mean_active: float,
-    i_active: float,
-    min_active: float = 0.1,
-    seed=0,
-    name: str = "exponential",
-) -> LoadTrace:
-    """Memoryless (Poisson-arrival-like) idle and active periods.
-
-    The exponential-average predictor is unbiased but high-variance on
-    this family -- a classic DPM stress case.
-    """
-    if min(mean_idle, mean_active, i_active) <= 0:
-        raise ConfigurationError("means and current must be positive")
-    rng = _rng(seed)
-    slots = [
-        TaskSlot(
-            t_idle=float(rng.exponential(mean_idle)),
-            t_active=float(max(rng.exponential(mean_active), min_active)),
-            i_active=i_active,
-        )
-        for _ in range(n_slots)
-    ]
-    return LoadTrace(slots, name=name)
-
-
-def pareto_slots(
-    n_slots: int,
-    idle_scale: float,
-    idle_shape: float,
-    t_active: float,
-    i_active: float,
-    idle_cap: float | None = None,
-    seed=0,
-    name: str = "pareto",
-) -> LoadTrace:
-    """Heavy-tailed idle periods (Pareto), fixed active periods.
-
-    Heavy tails reward aggressive sleeping on the long idles while
-    punishing mispredicted short ones.
-    """
-    if idle_shape <= 0 or idle_scale <= 0:
-        raise ConfigurationError("Pareto scale and shape must be positive")
-    if t_active <= 0 or i_active < 0:
-        raise ConfigurationError("bad active parameters")
-    rng = _rng(seed)
-    slots = []
-    for _ in range(n_slots):
-        t_idle = idle_scale * float(1.0 + rng.pareto(idle_shape))
-        if idle_cap is not None:
-            t_idle = min(t_idle, idle_cap)
-        slots.append(TaskSlot(t_idle, t_active, i_active))
-    return LoadTrace(slots, name=name)
-
-
-def bursty_slots(
-    n_bursts: int,
-    burst_length: int,
-    idle_in_burst: float,
-    idle_between_bursts: float,
-    t_active: float,
-    i_active: float,
-    jitter: float = 0.1,
-    seed=0,
-    name: str = "bursty",
-) -> LoadTrace:
-    """Alternating dense bursts and long quiet gaps.
-
-    Models interactive devices: rapid task arrivals during use, long
-    idle stretches between sessions.  Exercises the aggregation
-    argument of DPM refs [6, 7].
-    """
-    if n_bursts < 1 or burst_length < 1:
-        raise ConfigurationError("need at least one burst with one slot")
-    if min(idle_in_burst, idle_between_bursts, t_active) <= 0 or i_active < 0:
-        raise ConfigurationError("bad burst parameters")
-    if not 0 <= jitter < 1:
-        raise ConfigurationError("jitter must be in [0, 1)")
-    rng = _rng(seed)
-
-    def jittered(x: float) -> float:
-        return float(x * (1.0 + rng.uniform(-jitter, jitter)))
-
-    slots = []
-    for b in range(n_bursts):
-        for k in range(burst_length):
-            first = b > 0 and k == 0
-            base = idle_between_bursts if first else idle_in_burst
-            slots.append(TaskSlot(jittered(base), jittered(t_active), i_active))
-    return LoadTrace(slots, name=name)

@@ -9,14 +9,11 @@ trace property: it depends on the DPM decision (STANDBY vs SLEEP) and
 comes from the device model.
 
 :class:`LoadTrace` is an immutable sequence of slots with summary
-statistics and CSV/JSON round-tripping.
+statistics.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import statistics
 from collections.abc import Iterable, Iterator, Sequence
@@ -151,93 +148,3 @@ class LoadTrace(Sequence[TaskSlot]):
             raise TraceError("idle current cannot be negative")
         charge = sum(s.active_charge for s in self._slots) + i_idle * self.idle_time
         return charge / self.duration
-
-    # -- manipulation ----------------------------------------------------------
-
-    def truncate(self, max_duration: float) -> "LoadTrace":
-        """Prefix of the trace with total length <= ``max_duration``.
-
-        Keeps whole slots only; raises if not even the first slot fits.
-        """
-        kept: list[TaskSlot] = []
-        elapsed = 0.0
-        for s in self._slots:
-            if elapsed + s.length > max_duration:
-                break
-            kept.append(s)
-            elapsed += s.length
-        if not kept:
-            raise TraceError(
-                f"no whole slot fits in {max_duration} s "
-                f"(first slot is {self._slots[0].length} s)"
-            )
-        return LoadTrace(kept, name=f"{self.name}|<={max_duration:g}s")
-
-    def scaled(self, idle: float = 1.0, active: float = 1.0, current: float = 1.0):
-        """Return a copy with idle/active lengths and currents scaled."""
-        if min(idle, active, current) <= 0:
-            raise TraceError("scale factors must be positive")
-        return LoadTrace(
-            (
-                TaskSlot(s.t_idle * idle, s.t_active * active, s.i_active * current)
-                for s in self._slots
-            ),
-            name=f"{self.name}|scaled",
-        )
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """Serialize as CSV with a header row."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t_idle_s", "t_active_s", "i_active_a"])
-        for s in self._slots:
-            writer.writerow([repr(s.t_idle), repr(s.t_active), repr(s.i_active)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, name: str = "csv-trace") -> "LoadTrace":
-        """Parse a trace written by :meth:`to_csv`."""
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if not rows or rows[0][:3] != ["t_idle_s", "t_active_s", "i_active_a"]:
-            raise TraceError("missing or malformed CSV header")
-        slots = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            try:
-                slots.append(TaskSlot(float(row[0]), float(row[1]), float(row[2])))
-            except (IndexError, ValueError, TraceError) as exc:
-                raise TraceError(f"bad CSV row {lineno}: {row!r} ({exc})") from exc
-        return cls(slots, name=name)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON document."""
-        return json.dumps(
-            {
-                "name": self.name,
-                "slots": [
-                    {
-                        "t_idle": s.t_idle,
-                        "t_active": s.t_active,
-                        "i_active": s.i_active,
-                    }
-                    for s in self._slots
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LoadTrace":
-        """Parse a trace written by :meth:`to_json`."""
-        try:
-            doc = json.loads(text)
-            slots = []
-            for index, d in enumerate(doc["slots"]):
-                try:
-                    slots.append(TaskSlot(d["t_idle"], d["t_active"], d["i_active"]))
-                except TraceError as exc:
-                    raise TraceError(f"bad trace JSON slot {index}: {exc}") from exc
-            return cls(slots, name=doc.get("name", "json-trace"))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise TraceError(f"malformed trace JSON: {exc}") from exc

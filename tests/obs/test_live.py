@@ -11,17 +11,16 @@ from repro.obs.live import (
     Heartbeat,
     LiveFlusher,
     LiveProgress,
-    exposition_path,
     heartbeat_age,
     heartbeat_path,
     is_stalled,
     iter_heartbeats,
     live_interval,
+    metrics_path,
     validate_heartbeat,
     write_atomic_json,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.openmetrics import validate_exposition
 
 
 def make_heartbeat(**overrides) -> Heartbeat:
@@ -113,7 +112,7 @@ class TestHeartbeatSchema:
 class TestPaths:
     def test_unsharded(self, tmp_path):
         assert heartbeat_path(tmp_path).name == "heartbeat.json"
-        assert exposition_path(tmp_path).name == "metrics.prom"
+        assert metrics_path(tmp_path).name == "metrics.json"
 
     def test_sharded_tuple_and_string(self, tmp_path):
         assert (
@@ -121,7 +120,7 @@ class TestPaths:
             == "heartbeat.shard-2-of-4.json"
         )
         assert (
-            exposition_path(tmp_path, "2/4").name == "metrics.shard-2-of-4.prom"
+            metrics_path(tmp_path, "2/4").name == "metrics.shard-2-of-4.json"
         )
 
 
@@ -268,15 +267,14 @@ class TestLiveFlusher:
         assert hb["tasks_done"] == 2
         assert hb["tasks_total"] == 4
         assert not hb["final"]
-        text = exposition_path(tmp_path).read_text()
-        assert validate_exposition(text) == []
-        assert 'sim_route_total{path="fast"} 4' in text
+        metrics = json.loads(metrics_path(tmp_path).read_text())
+        assert metrics["sim.route{path=fast}"] == {"type": "counter", "value": 4.0}
 
     def test_sharded_filenames(self, tmp_path):
         flusher = self._flusher(tmp_path, shard=(2, 3), interval=0.1)
         flusher.flush()
         assert heartbeat_path(tmp_path, (2, 3)).exists()
-        assert exposition_path(tmp_path, (2, 3)).exists()
+        assert metrics_path(tmp_path, (2, 3)).exists()
         hb = json.loads(heartbeat_path(tmp_path, (2, 3)).read_text())
         assert hb["shard"] == "2/3"
 

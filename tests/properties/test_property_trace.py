@@ -28,18 +28,6 @@ class TestTraceProperties:
         trace = LoadTrace(slot_list)
         assert trace.duration == pytest.approx(trace.idle_time + trace.active_time)
 
-    @given(slots)
-    @settings(max_examples=200, deadline=None)
-    def test_csv_roundtrip_identity(self, slot_list):
-        trace = LoadTrace(slot_list)
-        assert LoadTrace.from_csv(trace.to_csv()) == trace
-
-    @given(slots)
-    @settings(max_examples=200, deadline=None)
-    def test_json_roundtrip_identity(self, slot_list):
-        trace = LoadTrace(slot_list)
-        assert LoadTrace.from_json(trace.to_json()) == trace
-
     @given(slots, st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=200, deadline=None)
     def test_average_current_between_extremes(self, slot_list, i_idle):
@@ -86,37 +74,3 @@ class TestSimulationAccounting:
         )
 
 
-class TestChunkingInvariance:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=2.0, max_value=40.0),  # idle
-                st.floats(min_value=0.5, max_value=8.0),   # active
-                st.floats(min_value=0.1, max_value=1.3),   # current
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-        st.floats(min_value=0.5, max_value=10.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_conv_dpm_invariant_to_re_decision_period(self, spec, max_segment):
-        """Conv-DPM's output is state-free: splitting segments into
-        re-decision chunks must not change any ledger entry."""
-        trace = LoadTrace([TaskSlot(*row) for row in spec])
-        dev = camcorder_device_params()
-
-        def run(seg):
-            mgr = PowerManager.conv_dpm(
-                dev, storage_capacity=6.0, storage_initial=3.0
-            )
-            return SlotSimulator(
-                mgr, max_deficit_fraction=1.0, max_segment=seg
-            ).run(trace)
-
-        whole = run(None)
-        chunked = run(max_segment)
-        assert chunked.fuel == pytest.approx(whole.fuel, rel=1e-9)
-        assert chunked.load_charge == pytest.approx(whole.load_charge, rel=1e-9)
-        assert chunked.bled == pytest.approx(whole.bled, abs=1e-9)
-        assert chunked.duration == pytest.approx(whole.duration, rel=1e-9)

@@ -8,14 +8,12 @@ bit is a failure.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import StaticController
 from repro.core.manager import PowerManager
 from repro.devices.camcorder import camcorder_device_params
-from repro.sim.integrator import Segment, chunk_segments
 from repro.sim.slotsim import SlotSimulator
 from repro.sim.vectorized import clamped_cumsum, simulate_fast
 from repro.workload.trace import LoadTrace, TaskSlot
@@ -209,43 +207,3 @@ class TestClampedCumsum:
         assert deficit == 2.5 + 15.0
 
 
-segments_strategy = st.lists(
-    st.builds(
-        Segment,
-        st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-        st.sampled_from(["standby", "pd", "sleep", "wu", "run"]),
-    ),
-    min_size=0,
-    max_size=20,
-)
-
-
-class TestChunkSegmentsProperties:
-    @given(segments_strategy, st.floats(min_value=0.5, max_value=30.0))
-    @settings(max_examples=200, deadline=None)
-    def test_chunking_preserves_totals_and_bound(self, segments, max_segment):
-        out = chunk_segments(segments, max_segment)
-        assert sum(s.duration for s in out) == pytest.approx(
-            sum(s.duration for s in segments), rel=1e-9
-        )
-        assert sum(s.duration * s.i_load for s in out) == pytest.approx(
-            sum(s.duration * s.i_load for s in segments), rel=1e-9
-        )
-        limit = max_segment * (1.0 + 1e-12)
-        assert all(s.duration <= limit for s in out)
-        assert all(
-            (s.i_load, s.kind) in {(o.i_load, o.kind) for o in segments}
-            for s in out
-        )
-
-    def test_few_ulp_overshoot_passes_unsplit(self):
-        # A duration a hair over the limit (accumulated float noise on a
-        # nominally equal slot) must not split into a chunk plus a
-        # ~zero-length re-decision.
-        seg = Segment(10.0 * (1.0 + 1e-13), 0.4, "run")
-        assert chunk_segments([seg], 10.0) == [seg]
-
-    def test_none_limit_is_identity(self):
-        segs = [Segment(50.0, 0.2, "sleep")]
-        assert chunk_segments(segs, None) is segs

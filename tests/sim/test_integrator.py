@@ -8,7 +8,6 @@ from repro.core.manager import PowerManager
 from repro.sim.integrator import (
     Segment,
     SegmentIntegrator,
-    chunk_segments,
     phase_totals,
     plan_active_segments,
     plan_idle_segments,
@@ -58,18 +57,7 @@ class TestActivePlanning:
         )
 
 
-class TestChunking:
-    def test_none_is_identity(self):
-        segs = [Segment(30.0, 0.4, "standby")]
-        assert chunk_segments(segs, None) is segs
-
-    def test_long_segment_splits_into_equal_chunks(self):
-        out = chunk_segments([Segment(30.0, 0.4, "sleep")], 8.0)
-        assert len(out) == 4
-        assert all(s.duration == pytest.approx(7.5) for s in out)
-        assert sum(s.duration for s in out) == pytest.approx(30.0)
-        assert all(s.kind == "sleep" and s.i_load == 0.4 for s in out)
-
+class TestPhaseTotals:
     def test_phase_totals(self):
         segs = [Segment(10.0, 0.4, "standby"), Segment(5.0, 1.2, "run")]
         duration, charge = phase_totals(segs)

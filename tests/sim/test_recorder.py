@@ -43,31 +43,6 @@ class TestRecorder:
         times, values = r.step_series("i_f", t_max=12.0)
         assert len(values) == 2
 
-    def test_resample_uniform_grid(self):
-        r = Recorder()
-        r.add(sample(0.0, 10.0, i_f=0.5))
-        r.add(sample(10.0, 10.0, i_f=0.9))
-        grid, vals = r.resample("i_f", dt=1.0)
-        assert len(grid) == len(vals) == 20
-        assert vals[5] == 0.5
-        assert vals[15] == 0.9
-
-    def test_resample_empty(self):
-        grid, vals = Recorder().resample("i_f", dt=1.0)
-        assert grid.size == 0 and vals.size == 0
-
-    def test_resample_rejects_bad_dt(self):
-        with pytest.raises(SimulationError):
-            Recorder().resample("i_f", dt=0.0)
-
-    def test_csv_export(self):
-        r = Recorder()
-        r.add(sample(0.0, 10.0, kind="sleep"))
-        text = r.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("t_s,dt_s")
-        assert "sleep" in lines[1]
-
     def test_samples_immutable_view(self):
         r = Recorder()
         r.add(sample(0.0, 1.0))
@@ -79,21 +54,6 @@ class TestSourceKindRecording:
         s = sample(0.0, 1.0)
         assert s.source_kind == ""
         assert s.stack_currents == ()
-
-    def test_csv_exports_source_kind_and_stack_currents(self):
-        r = Recorder()
-        r.add(
-            Sample(
-                t=0.0, dt=5.0, i_load=0.8, i_f=0.8, i_fc=1.0,
-                storage_charge=3.0, fuel_cumulative=1.0, kind="run",
-                source_kind="multi-stack", stack_currents=(0.4, 0.4),
-            )
-        )
-        text = r.to_csv()
-        header, row = text.strip().split("\n")
-        assert header.endswith("source_kind,stack_a")
-        assert "multi-stack" in row
-        assert "0.4|0.4" in row
 
     def test_recorded_run_carries_source_kind(self, camcorder_params):
         from repro.core.manager import PowerManager

@@ -142,20 +142,7 @@ class TestLatencyAccounting:
         assert result.wakeup_latency == 0.0
 
 
-class TestSegmentChunking:
-    def test_chunking_preserves_durations(self, managers, small_trace):
-        whole = SlotSimulator(managers[0]).run(small_trace)
-        mgr = PowerManager.conv_dpm(
-            managers[0].device, storage_capacity=6.0, storage_initial=3.0
-        )
-        chunked = SlotSimulator(mgr, max_segment=1.0).run(small_trace)
-        assert chunked.duration == pytest.approx(whole.duration)
-        assert chunked.fuel == pytest.approx(whole.fuel)
-
-    def test_rejects_bad_max_segment(self, managers):
-        with pytest.raises(SimulationError):
-            SlotSimulator(managers[0], max_segment=0.0)
-
+class TestGuardCounter:
     def test_guard_counter_small_on_paper_workload(self, camcorder_params):
         from repro.workload.mpeg import generate_mpeg_trace
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.sim.stacked as stacked_mod
+from repro.core.fc_dpm import FCDPMController
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import observing
 from repro.scenario import get_scenario
@@ -31,10 +32,21 @@ from repro.sim.vectorized import (
     simulate_batch,
     simulate_fast,
 )
-from repro.workload.trace import LoadTrace
+from repro.workload.trace import LoadTrace, TaskSlot
 from tests.oracle import scalar_batch
 
 POLICIES = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
+
+#: Slot 1's 2 A task exceeds the 1.2 A FC ceiling and empties the
+#: storage; slot 2 then starts asleep on that empty storage, and its
+#: power-down segment draws more than the planned IF,i.  FC-DPM's
+#: empty-storage guard follows the load there (the full-storage branch
+#: never fires on this trace).  The paper workloads never reach this
+#: branch.
+EMPTY_GUARD_TRACE = LoadTrace(
+    [TaskSlot(40.0, 2.0, 1.0), TaskSlot(10.0, 1.0, 2.0), TaskSlot(5.0, 2.0, 0.5)],
+    name="empty-guard",
+)
 
 
 def _manager_state(mgr):
@@ -168,15 +180,37 @@ class TestStackedEquivalence:
             alone, _fast_loop(get_scenario("exp2-conv-dpm"), [7], POLICIES)
         )
 
-    def test_prebuilt_and_partial_traces_match_loop(self):
+    def test_prebuilt_and_partial_traces_match_loop(self, monkeypatch):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [3, 4, 5, 6]
         traces = {s: sc.build_trace(s + 100) for s in seeds[:2]}  # partial
+        traces[5] = EMPTY_GUARD_TRACE
         a = simulate_batch(sc, seeds, POLICIES, traces=traces)
         b = _fast_loop(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, b)
         c = scalar_batch(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, c)
+
+        # The oracle's FC-DPM run of EMPTY_GUARD_TRACE does take the
+        # empty-storage branch, so the equalities above cover its kernel
+        # copies.
+        empty_hits = []
+        output = FCDPMController.output
+
+        def counting(controller, ctx):
+            if (
+                ctx.phase == "idle"
+                and ctx.storage_charge <= 0.001 * ctx.storage_capacity
+                and controller._if_idle < ctx.i_load
+            ):
+                empty_hits.append(ctx.kind)
+            return output(controller, ctx)
+
+        monkeypatch.setattr(FCDPMController, "output", counting)
+        mgr = _policy_manager(sc, "fc-dpm")
+        SlotSimulator(mgr).run(EMPTY_GUARD_TRACE)
+        assert empty_hits
+        assert mgr.controller.n_guard_activations == len(empty_hits)
 
     def test_obs_enabled_route_stays_exact(self):
         sc = get_scenario("exp2-conv-dpm")

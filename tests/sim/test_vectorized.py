@@ -215,10 +215,6 @@ class TestRunLimits:
         with pytest.raises(SimulationError, match="max_deficit_fraction"):
             SlotSimulator(managers[0], max_deficit_fraction=NAN)
 
-    def test_slot_simulator_rejects_nan_max_segment(self, managers):
-        with pytest.raises(SimulationError, match="max_segment"):
-            SlotSimulator(managers[0], max_segment=NAN)
-
     def test_simulate_fast_rejects_nan_deficit_fraction(self, managers, small_trace):
         with pytest.raises(SimulationError, match="max_deficit_fraction"):
             simulate_fast(managers[0], small_trace, max_deficit_fraction=NAN)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.synthetic import (
-    bursty_slots,
-    experiment2_trace,
-    exponential_slots,
-    pareto_slots,
-    uniform_slots,
-)
+from repro.workload.synthetic import experiment2_trace, uniform_slots
 
 
 class TestUniform:
@@ -50,61 +44,3 @@ class TestExperiment2:
 
     def test_n_slots_override(self):
         assert len(experiment2_trace(n_slots=17)) == 17
-
-
-class TestExponential:
-    def test_mean_close_to_parameter(self):
-        trace = exponential_slots(4000, mean_idle=10.0, mean_active=3.0,
-                                  i_active=1.2, seed=4)
-        idles = np.array([s.t_idle for s in trace])
-        assert idles.mean() == pytest.approx(10.0, rel=0.1)
-
-    def test_min_active_enforced(self):
-        trace = exponential_slots(500, 10.0, 0.05, 1.2, min_active=0.1, seed=5)
-        assert min(s.t_active for s in trace) >= 0.1
-
-    def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ConfigurationError):
-            exponential_slots(10, 0.0, 3.0, 1.2)
-
-
-class TestPareto:
-    def test_heavy_tail(self):
-        trace = pareto_slots(4000, idle_scale=5.0, idle_shape=1.5,
-                             t_active=3.0, i_active=1.2, seed=6)
-        idles = np.array([s.t_idle for s in trace])
-        assert idles.min() >= 5.0
-        # Heavy tail: max far beyond the median.
-        assert idles.max() > 10 * np.median(idles)
-
-    def test_cap_applies(self):
-        trace = pareto_slots(500, 5.0, 1.5, 3.0, 1.2, idle_cap=30.0, seed=6)
-        assert max(s.t_idle for s in trace) <= 30.0
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ConfigurationError):
-            pareto_slots(10, 5.0, 0.0, 3.0, 1.2)
-
-
-class TestBursty:
-    def test_structure(self):
-        trace = bursty_slots(
-            n_bursts=3, burst_length=4, idle_in_burst=2.0,
-            idle_between_bursts=60.0, t_active=3.0, i_active=1.2,
-            jitter=0.0, seed=7,
-        )
-        assert len(trace) == 12
-        idles = [s.t_idle for s in trace]
-        # First slot of bursts 2 and 3 carries the long gap.
-        assert idles[4] == pytest.approx(60.0)
-        assert idles[8] == pytest.approx(60.0)
-        assert idles[1] == pytest.approx(2.0)
-
-    def test_jitter_bounds(self):
-        trace = bursty_slots(2, 3, 10.0, 100.0, 3.0, 1.2, jitter=0.1, seed=8)
-        for s in trace:
-            assert s.t_idle == pytest.approx(10.0, rel=0.11) or s.t_idle == pytest.approx(100.0, rel=0.11)
-
-    def test_rejects_bad_jitter(self):
-        with pytest.raises(ConfigurationError):
-            bursty_slots(2, 3, 10.0, 100.0, 3.0, 1.2, jitter=1.0)

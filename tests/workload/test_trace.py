@@ -95,71 +95,6 @@ class TestLoadTrace:
         assert trace == same
         assert hash(trace) == hash(same)
 
-    def test_truncate(self, trace):
-        cut = trace.truncate(40.0)
-        assert len(cut) == 2
-        assert cut.duration <= 40.0
-
-    def test_truncate_too_small_rejected(self, trace):
-        with pytest.raises(TraceError):
-            trace.truncate(5.0)
-
-    def test_scaled(self, trace):
-        doubled = trace.scaled(idle=2.0)
-        assert doubled.idle_time == pytest.approx(90.0)
-        assert doubled.active_time == pytest.approx(10.0)
-
-    def test_scaled_rejects_nonpositive(self, trace):
-        with pytest.raises(TraceError):
-            trace.scaled(idle=0.0)
-
-
-class TestSerialization:
-    def test_csv_roundtrip(self, trace):
-        back = LoadTrace.from_csv(trace.to_csv())
-        assert back == trace
-
-    def test_csv_bad_header_rejected(self):
-        with pytest.raises(TraceError):
-            LoadTrace.from_csv("a,b,c\n1,2,3\n")
-
-    def test_csv_bad_row_rejected(self, trace):
-        text = trace.to_csv() + "not,a,number\n"
-        with pytest.raises(TraceError):
-            LoadTrace.from_csv(text)
-
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_csv_non_finite_row_names_the_row(self, trace, cell):
-        # Header is line 1 and the fixture's slots are lines 2-4.
-        text = trace.to_csv() + f"10.0,{cell},1.2\n"
-        with pytest.raises(TraceError, match="bad CSV row 5.*non-finite t_active"):
-            LoadTrace.from_csv(text)
-
-    def test_csv_negative_row_names_the_row(self, trace):
-        text = trace.to_csv() + "-1.0,3.0,1.2\n"
-        with pytest.raises(TraceError, match="bad CSV row 5"):
-            LoadTrace.from_csv(text)
-
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
-    def test_json_non_finite_names_the_slot(self, trace, literal):
-        # The json module parses these literals; the third slot (index
-        # 2) is the only one with a 4.0 s active period.
-        text = trace.to_json().replace('"t_active": 4.0', f'"t_active": {literal}')
-        assert literal in text
-        with pytest.raises(TraceError, match="slot 2.*non-finite t_active"):
-            LoadTrace.from_json(text)
-
-    def test_json_roundtrip(self, trace):
-        back = LoadTrace.from_json(trace.to_json())
-        assert back == trace
-        assert back.name == "t3"
-
-    def test_json_malformed_rejected(self):
-        with pytest.raises(TraceError):
-            LoadTrace.from_json("{\"slots\": [{\"bad\": 1}]}")
-        with pytest.raises(TraceError):
-            LoadTrace.from_json("not json at all")
-
     def test_repr(self, trace):
         assert "t3" in repr(trace)
         assert "3 slots" in repr(trace)
