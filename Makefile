@@ -50,8 +50,10 @@ trace-smoke:
 
 # Orchestration smoke: define two experiments, kill one mid-run with
 # the crash-injection hook (expected exit 3), resume it to completion,
-# merge a sharded run, validate every state file structurally, and
-# print the per-cell report.  A corruption drill flips one byte of one
+# merge a sharded run, and print the per-cell report.  Every command
+# reads state files through the one validating reader, so `exp status`
+# (one experiment, then all) and `exp merge` (the shard sidecars) are
+# the structural checks.  A corruption drill flips one byte of one
 # smoke-a cache entry (found through state.json's cache_key): the next
 # run must re-execute exactly that cell.  The cache root must end up
 # holding entry files (*.pkl) and experiments/ only.  Everything lands
@@ -64,7 +66,7 @@ exp-smoke:
 		--scenario exp2-asap-dpm --seeds 0:3
 	FCDPM_CACHE_DIR=exp-smoke-out FCDPM_EXP_ABORT_AFTER=2 \
 		$(PYTHON) -m repro.cli exp run smoke-a; test $$? -eq 3
-	$(PYTHON) scripts/check_exp_state.py exp-smoke-out/experiments
+	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp status smoke-a
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp resume smoke-a
 	$(PYTHON) -c "import json, pathlib; \
 		state = json.loads(pathlib.Path('exp-smoke-out/experiments/smoke-a/state.json').read_text()); \
@@ -76,18 +78,18 @@ exp-smoke:
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 1/2
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp run smoke-b --shard 2/2
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp merge smoke-b
-	$(PYTHON) scripts/check_exp_state.py exp-smoke-out/experiments
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp report smoke-a
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli exp status
 	FCDPM_CACHE_DIR=exp-smoke-out $(PYTHON) -m repro.cli cache stats
 	test -z "$$(ls exp-smoke-out | grep -v -e '\.pkl$$' -e '^experiments$$')"
 
 # Live-telemetry smoke: run a sharded experiment with --live flushing,
-# validate every heartbeat + metrics snapshot JSON structurally
-# (scripts/check_live.py), assert the watch/status/top scripting
-# surface (exit 0 on a healthy finished run), then inject a stall into
-# the heartbeats and assert `exp watch --once` exits 4.  Artifacts land
-# under live-smoke-out/.
+# assert the watch/status/top scripting surface (exit 0 on a healthy
+# finished run, both shard heartbeats final; each command reads every
+# heartbeat through the validating reader, which exits 1 on an invalid
+# one), then rewrite the heartbeats as a crashed writer leaves them
+# (non-final, an hour stale) and assert `exp watch --once` exits 4.
+# Artifacts land under live-smoke-out/.
 live-smoke:
 	rm -rf live-smoke-out
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp define live-a \
@@ -97,13 +99,16 @@ live-smoke:
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp run live-a \
 		--shard 2/2 --live --live-interval 0.2
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp merge live-a
-	$(PYTHON) scripts/check_live.py live-smoke-out/experiments/live-a \
-		--require-final --require-sample exp.tasks_done \
-		--require-sample sim.batch_rows_completed
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp watch live-a --once
-	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp status live-a --json > /dev/null
+	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp status live-a --json | \
+		$(PYTHON) -c "import json, sys; beats = json.load(sys.stdin)['heartbeats']; \
+		assert len(beats) == 2 and all(b['final'] for b in beats), beats"
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli top --once
-	$(PYTHON) scripts/check_live.py live-smoke-out/experiments/live-a --inject-stall
+	$(PYTHON) -c "import json, pathlib; \
+		beats = sorted(pathlib.Path('live-smoke-out/experiments/live-a').glob('heartbeat*.json')); \
+		assert len(beats) == 2, beats; \
+		[p.write_text(json.dumps(dict(d, final=False, started=d['started'] - 3600, \
+			updated=d['updated'] - 3600))) for p in beats for d in [json.loads(p.read_text())]]"
 	FCDPM_CACHE_DIR=live-smoke-out $(PYTHON) -m repro.cli exp watch live-a --once; \
 		test $$? -eq 4
 	@echo "live-smoke ok (stall detection verified)"

@@ -333,22 +333,27 @@ def _experiment_payload(
     state = store.load(name)
     counts = state.counts()
     beats = []
-    for shard_label, data in iter_heartbeats(store.experiment_dir(name)):
+    for shard_label, beat in iter_heartbeats(store.experiment_dir(name)):
+        if isinstance(beat, Exception):
+            print(f"error: {beat}", file=sys.stderr)
+            beats.append({"shard": shard_label, "error": str(beat),
+                          "final": False, "stalled": False})
+            continue
         beats.append({
             "shard": shard_label,
-            "pid": data.get("pid"),
-            "host": data.get("host"),
-            "phase": data.get("phase", ""),
-            "tasks_done": data.get("tasks_done", 0),
-            "tasks_failed": data.get("tasks_failed", 0),
-            "tasks_total": data.get("tasks_total", 0),
-            "task_rate": data.get("task_rate", 0.0),
-            "eta_s": data.get("eta_s"),
-            "cache_hit_ratio": data.get("cache_hit_ratio"),
-            "interval_s": data.get("interval_s"),
-            "final": bool(data.get("final")),
-            "age_s": heartbeat_age(data, now),
-            "stalled": is_stalled(data, now, stall_factor),
+            "pid": beat.pid,
+            "host": beat.host,
+            "phase": beat.phase,
+            "tasks_done": beat.tasks_done,
+            "tasks_failed": beat.tasks_failed,
+            "tasks_total": beat.tasks_total,
+            "task_rate": beat.task_rate,
+            "eta_s": beat.eta_s,
+            "cache_hit_ratio": beat.cache_hit_ratio,
+            "interval_s": beat.interval_s,
+            "final": beat.final,
+            "age_s": heartbeat_age(beat, now),
+            "stalled": is_stalled(beat, now, stall_factor),
         })
     return {
         "name": name,
@@ -385,11 +390,15 @@ def _all_experiment_payloads(store, stall_factor: float) -> list[dict]:
 
 
 def _payload_exit_code(payloads: list[dict]) -> int:
-    """Scripting contract: 4 = stall detected, 1 = failures or an
-    unreadable experiment, 0 = ok."""
+    """Scripting contract: 4 = stall detected, 1 = failures, an
+    unreadable experiment or an invalid heartbeat, 0 = ok."""
     if any(p["stalled"] for p in payloads):
         return 4
-    if any(p["failed"] or p["status"] == "unreadable" for p in payloads):
+    if any(
+        p["failed"] or p["status"] == "unreadable"
+        or any("error" in b for b in p["heartbeats"])
+        for p in payloads
+    ):
         return 1
     return 0
 
@@ -405,16 +414,19 @@ def _fmt_duration(seconds: float | None) -> str:
     return f"{seconds / 3600:.1f}h"
 
 
+def _beat_state(beat: dict) -> str:
+    if beat["stalled"]:
+        return "STALLED"
+    return "final" if beat["final"] else "live"
+
+
 def _heartbeat_rows(payload: dict) -> list[list[str]]:
     rows = [["shard", "phase", "done", "failed", "total", "rate/s",
              "eta", "age", "state"]]
     for b in payload["heartbeats"]:
-        if b["stalled"]:
-            state = "STALLED"
-        elif b["final"]:
-            state = "final"
-        else:
-            state = "live"
+        if "error" in b:
+            rows.append([b["shard"] or "-"] + ["-"] * 7 + ["invalid"])
+            continue
         rows.append([
             b["shard"] or "-", b["phase"] or "-",
             str(b["tasks_done"]), str(b["tasks_failed"]),
@@ -422,7 +434,7 @@ def _heartbeat_rows(payload: dict) -> list[list[str]]:
             f"{b['task_rate']:.2f}",
             _fmt_duration(b["eta_s"]),
             _fmt_duration(b["age_s"]),
-            state,
+            _beat_state(b),
         ])
     return rows
 
@@ -455,9 +467,9 @@ def _cmd_exp_watch(args: argparse.Namespace, store) -> int:
         while True:
             print("\x1b[2J\x1b[H", end="")
             code, payload = render_once()
-            done = sum(b["tasks_done"] + b["tasks_failed"]
-                       for b in payload["heartbeats"])
-            total = sum(b["tasks_total"] for b in payload["heartbeats"])
+            valid = [b for b in payload["heartbeats"] if "error" not in b]
+            done = sum(b["tasks_done"] + b["tasks_failed"] for b in valid)
+            total = sum(b["tasks_total"] for b in valid)
             if payload["heartbeats"] and all(
                 b["final"] for b in payload["heartbeats"]
             ) and (not total or done >= total):
@@ -486,18 +498,16 @@ def _cmd_top(args: argparse.Namespace) -> int:
                              str(p["tasks"].get("total", "-")), "-", "-", "-"])
                 continue
             for b in p["heartbeats"]:
-                if b["stalled"]:
-                    state = "STALLED"
-                elif b["final"]:
-                    state = "final"
-                else:
-                    state = "live"
+                if "error" in b:
+                    rows.append([p["name"], p["status"], b["shard"] or "-"]
+                                + ["-"] * 6 + ["invalid"])
+                    continue
                 rows.append([
                     p["name"], p["status"], b["shard"] or "-",
                     b["phase"] or "-", str(b["tasks_done"]),
                     str(b["tasks_failed"]), str(b["tasks_total"]),
                     _fmt_duration(b["eta_s"]), _fmt_duration(b["age_s"]),
-                    state,
+                    _beat_state(b),
                 ])
         print(format_table(rows, title=f"experiments under {store.root}"))
         return _payload_exit_code(payloads)

@@ -38,7 +38,6 @@ from .state import (
     ExperimentStore,
     TaskRecord,
     default_state_root,
-    validate_state_dict,
 )
 from .tasks import TASK_KINDS, result_metrics, run_task, task_kind, task_kind_names
 
@@ -68,5 +67,4 @@ __all__ = [
     "sweep_spec",
     "task_kind",
     "task_kind_names",
-    "validate_state_dict",
 ]

@@ -16,24 +16,26 @@ results land in), holding
 
 Writes are atomic (temp file + ``os.replace``), so a killed run leaves
 either the previous or the next consistent state -- never a torn file.
-``validate_state_dict`` is the schema check ``scripts/check_exp_state.py``
-runs in CI.
+:func:`read_state` is the one reader of both state files: a file either
+parses into an :class:`ExperimentState` or raises
+:class:`~repro.errors.ConfigurationError` naming the path and its first
+problem.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from ..errors import ConfigurationError
+from ..obs.live import write_atomic_json
 from .spec import ExperimentSpec
 
-#: Bump when a field changes meaning; ``validate_state_dict`` checks it.
+#: Bump when a field changes meaning; :func:`read_state` checks it.
 STATE_SCHEMA_VERSION = 1
 
 #: Per-task lifecycle states, in order.
@@ -84,16 +86,27 @@ class TaskRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TaskRecord":
-        return cls(
-            task_id=data["task_id"],
-            status=data.get("status", "defined"),
-            cache_key=data.get("cache_key"),
-            shard=data.get("shard"),
-            wall_s=data.get("wall_s", 0.0),
-            resumed=data.get("resumed", False),
-            error=data.get("error"),
-        )
+    def from_dict(cls, task_id: str, data: Any) -> "TaskRecord":
+        """Parse the record stored under ``task_id``; raises
+        :class:`ConfigurationError` naming the first problem."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"task {task_id}: record must be an object")
+        if data.keys() != _RECORD_KEYS:
+            raise ConfigurationError(
+                f"task {task_id}: {_key_problem(data, _RECORD_KEYS)}"
+            )
+        record = cls(**data)
+        if record.task_id != task_id:
+            raise ConfigurationError(
+                f"task {task_id}: task_id {record.task_id!r} mismatch"
+            )
+        if record.status not in TASK_STATUSES:
+            raise ConfigurationError(
+                f"task {task_id}: unknown status {record.status!r}"
+            )
+        if record.settled and not record.cache_key:
+            raise ConfigurationError(f"task {task_id}: settled without a cache_key")
+        return record
 
     @property
     def settled(self) -> bool:
@@ -175,95 +188,101 @@ class ExperimentState:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExperimentState":
-        spec = ExperimentSpec.from_dict(data["spec"])
+    def from_dict(cls, data: Any) -> "ExperimentState":
+        """Parse :meth:`to_dict` output, refusing what the writer never
+        produces; raises :class:`ConfigurationError` naming the first
+        problem.
+
+        A spec changed by hand no longer matches the ``spec_hash``
+        written with it; running it would execute cells nobody defined,
+        and the next save would rewrite the hash and hide the edit.
+        """
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"state must be a JSON object, got {type(data).__name__}"
+            )
+        if data.get("schema_version") != STATE_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"schema_version {data.get('schema_version')!r} != "
+                f"{STATE_SCHEMA_VERSION}"
+            )
+        if data.keys() != _STATE_KEYS:
+            raise ConfigurationError(_key_problem(data, _STATE_KEYS))
+        if data["status"] not in EXPERIMENT_STATUSES:
+            raise ConfigurationError(
+                f"unknown experiment status {data['status']!r}"
+            )
+        try:
+            spec = ExperimentSpec.from_dict(data["spec"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed spec ({type(exc).__name__}: {exc})"
+            ) from None
+        if spec.name != data["name"]:
+            raise ConfigurationError(
+                f"name {data['name']!r} != spec name {spec.name!r}"
+            )
+        if spec.content_hash != data["spec_hash"]:
+            raise ConfigurationError(
+                f"spec_hash {data['spec_hash']!r} != recomputed "
+                f"{spec.content_hash!r} (spec edited by hand; re-define "
+                f"the experiment)"
+            )
+        tasks = data["tasks"]
+        if not isinstance(tasks, dict):
+            raise ConfigurationError("tasks must be an object")
+        # Task ids are positional (``ExperimentSpec.expand``), so the
+        # spec's cell count alone fixes the set.
+        if set(tasks) != {f"t{index:05d}" for index in range(spec.n_tasks)}:
+            raise ConfigurationError(
+                f"task ids disagree with the spec "
+                f"({len(tasks)} recorded vs {spec.n_tasks} expected)"
+            )
         return cls(
             spec=spec,
             tasks={
-                task_id: TaskRecord.from_dict(record)
-                for task_id, record in data.get("tasks", {}).items()
+                task_id: TaskRecord.from_dict(task_id, record)
+                for task_id, record in tasks.items()
             },
-            status=data.get("status", "defined"),
-            created=data.get("created", 0.0),
-            updated=data.get("updated", 0.0),
-            fingerprint=data.get("fingerprint", ""),
+            status=data["status"],
+            created=data["created"],
+            updated=data["updated"],
+            fingerprint=data["fingerprint"],
         )
 
 
-def validate_state_dict(data: Any) -> list[str]:
-    """Structural schema check of a ``state.json`` payload.
-
-    Returns a list of problems (empty = valid): key presence, status
-    vocabulary, spec round-trip, content-hash integrity, and task-id
-    agreement with the spec's own expansion.
-    """
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"state must be a JSON object, got {type(data).__name__}"]
-    if data.get("schema_version") != STATE_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version {data.get('schema_version')!r} != "
-            f"{STATE_SCHEMA_VERSION}"
-        )
-    for key in ("name", "spec", "spec_hash", "status", "tasks"):
-        if key not in data:
-            problems.append(f"missing key {key!r}")
-    if problems:
-        return problems
-    if data["status"] not in EXPERIMENT_STATUSES:
-        problems.append(f"unknown experiment status {data['status']!r}")
-    try:
-        spec = ExperimentSpec.from_dict(data["spec"])
-    except (ConfigurationError, KeyError, TypeError) as exc:
-        return problems + [f"spec does not round-trip: {exc}"]
-    if spec.name != data["name"]:
-        problems.append(f"name {data['name']!r} != spec name {spec.name!r}")
-    if spec.content_hash != data["spec_hash"]:
-        problems.append(
-            f"spec_hash {data['spec_hash']!r} != recomputed {spec.content_hash!r}"
-        )
-    tasks = data["tasks"]
-    if not isinstance(tasks, dict) or not tasks:
-        return problems + ["tasks must be a non-empty object"]
-    expected_ids = {t.task_id for t in spec.expand()}
-    if set(tasks) != expected_ids:
-        problems.append(
-            f"task ids disagree with the spec expansion "
-            f"({len(tasks)} recorded vs {len(expected_ids)} expanded)"
-        )
-    for task_id, record in tasks.items():
-        if not isinstance(record, dict):
-            problems.append(f"task {task_id}: record must be an object")
-            continue
-        if record.get("task_id") != task_id:
-            problems.append(f"task {task_id}: task_id mismatch")
-        if record.get("status") not in TASK_STATUSES:
-            problems.append(
-                f"task {task_id}: unknown status {record.get('status')!r}"
-            )
-        if record.get("status") in _SETTLED and not record.get("cache_key"):
-            problems.append(f"task {task_id}: settled without a cache_key")
-    return problems
+#: The keys :meth:`ExperimentState.to_dict` / :meth:`TaskRecord.to_dict`
+#: write, no more and no fewer.
+_STATE_KEYS = frozenset({
+    "schema_version", "name", "spec", "spec_hash", "status", "created",
+    "updated", "fingerprint", "tasks",
+})
+_RECORD_KEYS = frozenset(field.name for field in fields(TaskRecord))
 
 
-def _state_from_file(path: Path, data: dict[str, Any]) -> ExperimentState:
-    """Build the state read from ``path``, refusing an edited spec.
+def _key_problem(data: dict, keys: frozenset) -> str:
+    """Name the first key ``data`` lacks or should not have."""
+    missing = sorted(keys - data.keys())
+    if missing:
+        return f"missing key {missing[0]!r}"
+    return f"unknown key {sorted(data.keys() - keys)[0]!r}"
 
-    A spec changed by hand no longer matches the ``spec_hash`` written
-    with it; running it would execute cells nobody defined, and the
-    next save would rewrite the hash and hide the edit.
+
+def read_state(path: Path) -> ExperimentState:
+    """Read one state file (``state.json`` or a shard sidecar).
+
+    Raises :class:`ConfigurationError` naming ``path`` and the first
+    problem: unreadable JSON, or any check of
+    :meth:`ExperimentState.from_dict`.
     """
     try:
-        state = ExperimentState.from_dict(data)
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"unreadable state file {path}: {exc}") from None
+    try:
+        return ExperimentState.from_dict(data)
     except ConfigurationError as exc:
         raise ConfigurationError(f"state file {path}: {exc}") from None
-    if data.get("spec_hash") != state.spec.content_hash:
-        raise ConfigurationError(
-            f"state file {path}: spec_hash {data.get('spec_hash')!r} != "
-            f"recomputed {state.spec.content_hash!r} (spec edited by hand; "
-            f"re-define the experiment)"
-        )
-    return state
 
 
 def _shard_filename(shard: tuple[int, int]) -> str:
@@ -302,33 +321,16 @@ class ExperimentStore:
     ) -> Path:
         """Atomically write ``state.json`` (or the shard's sidecar)."""
         path = self.state_path(state.spec.name, shard)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic_json(path, state.to_dict())
 
     def load(self, name: str, shard: tuple[int, int] | None = None) -> ExperimentState:
         path = self.state_path(name, shard)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
+        if not path.exists():
             raise ConfigurationError(
                 f"no experiment {name!r} under {self.root} "
                 f"(define one with 'fcdpm exp define')"
-            ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"unreadable state file {path}: {exc}") from exc
-        return _state_from_file(path, data)
+            )
+        return read_state(path)
 
     def define(
         self, spec: ExperimentSpec, overwrite: bool = False
@@ -366,12 +368,7 @@ class ExperimentStore:
         """
         state = self.load(name)
         for path in self.shard_paths(name):
-            try:
-                shard_state = _state_from_file(path, json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError, KeyError) as exc:
-                raise ConfigurationError(
-                    f"unreadable shard state {path}: {exc}"
-                ) from exc
+            shard_state = read_state(path)
             if shard_state.spec.content_hash != state.spec.content_hash:
                 raise ConfigurationError(
                     f"shard state {path.name} belongs to a different spec"

@@ -49,7 +49,6 @@ from .live import (
     is_stalled,
     iter_heartbeats,
     live_interval,
-    validate_heartbeat,
 )
 from .manifest import MANIFEST_SCHEMA_VERSION, RunManifest, build_manifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -91,7 +90,6 @@ __all__ = [
     "observing",
     "read_jsonl",
     "trace_summary",
-    "validate_heartbeat",
     "validate_chrome_trace",
     "validate_manifest",
     "validate_span",

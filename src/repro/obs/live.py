@@ -15,6 +15,9 @@ configurable interval, atomically publishes
 Both writes are atomic (temp file + ``os.replace``), so a concurrent
 reader never sees a partial document; both are best-effort -- an
 unwritable directory degrades telemetry, never the computation.
+:meth:`Heartbeat.from_dict` is the one heartbeat reader: a torn or
+malformed file raises :class:`~repro.errors.ConfigurationError`, which
+:func:`iter_heartbeats` hands to the caller instead of skipping it.
 
 Everything is **off by default**: no thread starts unless a caller
 constructs a flusher (``fcdpm exp run --live``, or the
@@ -43,6 +46,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from ..errors import ConfigurationError
 
 #: Bump when a heartbeat field changes meaning.
 HEARTBEAT_SCHEMA_VERSION = 1
@@ -171,119 +176,96 @@ class Heartbeat:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Heartbeat":
-        return cls(
-            name=data["name"],
-            shard=data.get("shard"),
-            pid=data.get("pid", 0),
-            host=data.get("host", ""),
-            started=data.get("started", 0.0),
-            updated=data.get("updated", 0.0),
-            interval_s=data.get("interval_s", DEFAULT_LIVE_INTERVAL),
-            phase=data.get("phase", ""),
-            tasks_done=data.get("tasks_done", 0),
-            tasks_failed=data.get("tasks_failed", 0),
-            tasks_total=data.get("tasks_total", 0),
-            task_rate=data.get("task_rate", 0.0),
-            eta_s=data.get("eta_s"),
-            cache_hit_ratio=data.get("cache_hit_ratio"),
-            final=data.get("final", False),
-        )
+    def from_dict(cls, data: Any) -> "Heartbeat":
+        """Parse :meth:`to_dict` output; raises :class:`ConfigurationError`
+        naming the first problem (a missing or mistyped field, or values
+        no writer produces)."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"expected a JSON object, got {type(data).__name__}"
+            )
+        for key, types in _FIELD_TYPES.items():
+            if key not in data:
+                raise ConfigurationError(f"missing field {key!r}")
+            value = data[key]
+            # bool is an int subclass: accept it only where it is named.
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise ConfigurationError(
+                    f"field {key!r} has type {type(value).__name__}"
+                )
+        if data["schema_version"] > HEARTBEAT_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"schema_version {data['schema_version']} is newer than "
+                f"supported {HEARTBEAT_SCHEMA_VERSION}"
+            )
+        if not data["interval_s"] > 0:
+            raise ConfigurationError(f"interval_s {data['interval_s']!r} not > 0")
+        if not data["updated"] >= data["started"]:
+            raise ConfigurationError("updated predates started")
+        for key in ("tasks_done", "tasks_failed", "tasks_total"):
+            if data[key] < 0:
+                raise ConfigurationError(f"negative {key}")
+        if data["tasks_total"] and (
+            data["tasks_done"] + data["tasks_failed"] > data["tasks_total"]
+        ):
+            raise ConfigurationError("done + failed exceeds total")
+        return cls(**{key: data[key] for key in _FIELD_TYPES if key != "schema_version"})
 
 
-_HEARTBEAT_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "schema_version": int,
-    "name": str,
-    "pid": int,
-    "host": str,
-    "started": (int, float),
-    "updated": (int, float),
-    "interval_s": (int, float),
-    "phase": str,
-    "tasks_done": int,
-    "tasks_failed": int,
-    "tasks_total": int,
-    "task_rate": (int, float),
-    "final": bool,
+_NUMBER = (int, float)
+#: Every field :meth:`Heartbeat.to_dict` writes, with its JSON types.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "schema_version": (int,),
+    "name": (str,),
+    "shard": (str, type(None)),
+    "pid": (int,),
+    "host": (str,),
+    "started": _NUMBER,
+    "updated": _NUMBER,
+    "interval_s": _NUMBER,
+    "phase": (str,),
+    "tasks_done": (int,),
+    "tasks_failed": (int,),
+    "tasks_total": (int,),
+    "task_rate": _NUMBER,
+    "eta_s": (*_NUMBER, type(None)),
+    "cache_hit_ratio": (*_NUMBER, type(None)),
+    "final": (bool,),
 }
 
 
-def validate_heartbeat(data: Any) -> list[str]:
-    """Structural problems with one heartbeat dict (empty = valid)."""
-    if not isinstance(data, dict):
-        return [f"heartbeat: expected an object, got {type(data).__name__}"]
-    problems: list[str] = []
-    for field_name, types in _HEARTBEAT_REQUIRED.items():
-        if field_name not in data:
-            problems.append(f"heartbeat: missing field {field_name!r}")
-        elif not isinstance(data[field_name], types) or isinstance(
-            data[field_name], bool
-        ) != (types is bool):
-            problems.append(
-                f"heartbeat: field {field_name!r} has type "
-                f"{type(data[field_name]).__name__}"
-            )
-    if problems:
-        return problems
-    if data["schema_version"] > HEARTBEAT_SCHEMA_VERSION:
-        problems.append(
-            f"heartbeat: schema_version {data['schema_version']} is newer "
-            f"than supported {HEARTBEAT_SCHEMA_VERSION}"
-        )
-    if data["interval_s"] <= 0:
-        problems.append(f"heartbeat: interval_s {data['interval_s']!r} not > 0")
-    if data["updated"] < data["started"]:
-        problems.append("heartbeat: updated predates started")
-    for field_name in ("tasks_done", "tasks_failed", "tasks_total"):
-        if data[field_name] < 0:
-            problems.append(f"heartbeat: negative {field_name}")
-    if data["tasks_total"] and (
-        data["tasks_done"] + data["tasks_failed"] > data["tasks_total"]
-    ):
-        problems.append("heartbeat: done + failed exceeds total")
-    shard = data.get("shard")
-    if shard is not None and not isinstance(shard, str):
-        problems.append("heartbeat: shard must be null or 'i/n'")
-    for field_name in ("eta_s", "cache_hit_ratio"):
-        value = data.get(field_name)
-        if value is not None and not isinstance(value, (int, float)):
-            problems.append(f"heartbeat: {field_name} must be null or a number")
-    return problems
-
-
-def heartbeat_age(data: dict[str, Any], now: float | None = None) -> float:
+def heartbeat_age(beat: Heartbeat, now: float | None = None) -> float:
     """Seconds since the heartbeat was last written (clamped at 0)."""
     if now is None:
         now = time.time()
-    return max(0.0, now - float(data.get("updated", 0.0)))
+    return max(0.0, now - beat.updated)
 
 
 def is_stalled(
-    data: dict[str, Any],
+    beat: Heartbeat,
     now: float | None = None,
     factor: float = DEFAULT_STALL_FACTOR,
 ) -> bool:
     """Stalled = not final and older than ``factor`` flush intervals."""
-    if data.get("final"):
-        return False
-    interval = float(data.get("interval_s", DEFAULT_LIVE_INTERVAL)) or (
-        DEFAULT_LIVE_INTERVAL
-    )
-    return heartbeat_age(data, now) > factor * interval
+    return not beat.final and heartbeat_age(beat, now) > factor * beat.interval_s
 
 
 def iter_heartbeats(
     directory: Path | str,
-) -> list[tuple[str | None, dict[str, Any]]]:
-    """All readable heartbeats in a run directory, shards sorted first
-    by index; returns ``[(shard_label | None, heartbeat_dict), ...]``.
+) -> list[tuple[str | None, Heartbeat | ConfigurationError]]:
+    """Every heartbeat file in a run directory, shards sorted by index:
+    ``[(shard_label | None, heartbeat), ...]``.
 
-    Unreadable or torn files are skipped -- with atomic writes the only
-    way to see one is a dead writer mid-``mkstemp``, and the watcher
-    must keep rendering the healthy shards regardless.
+    A file that is not valid JSON or not a valid heartbeat yields its
+    :class:`ConfigurationError` (naming the path) in place of the
+    heartbeat.  Writes are atomic, so such a file is corruption, not a
+    write in progress; the caller reports it and still renders the
+    healthy shards.
     """
     directory = Path(directory)
-    out: list[tuple[tuple[int, int], str | None, dict[str, Any]]] = []
+    out: list[tuple[tuple[int, int], str | None, Any]] = []
     if not directory.is_dir():
         return []
     for path in sorted(directory.glob("heartbeat*.json")):
@@ -296,12 +278,12 @@ def iter_heartbeats(
         else:
             continue
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        out.append((order, label, data))
+            beat = Heartbeat.from_dict(json.loads(path.read_text()))
+        except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
+            beat = ConfigurationError(f"invalid heartbeat {path}: {exc}")
+        out.append((order, label, beat))
     out.sort(key=lambda item: item[0])
-    return [(label, data) for _, label, data in out]
+    return [(label, beat) for _, label, beat in out]
 
 
 class LiveProgress:
@@ -405,8 +387,11 @@ class LiveFlusher(threading.Thread):
             registry = OBS.metrics
         return registry.snapshot()
 
-    def build_heartbeat(self, final: bool = False) -> Heartbeat:
-        """Assemble the current heartbeat (also used by tests)."""
+    def build_heartbeat(
+        self, snapshot: dict[str, dict[str, Any]], final: bool = False
+    ) -> Heartbeat:
+        """Assemble the current heartbeat; the cache-hit ratio comes from
+        ``snapshot``, the registry snapshot the same flush writes."""
         done, failed, total, phase = self.progress.snapshot()
         elapsed = time.perf_counter() - self._t0
         settled = done + failed
@@ -427,7 +412,7 @@ class LiveFlusher(threading.Thread):
             tasks_total=total,
             task_rate=rate,
             eta_s=eta,
-            cache_hit_ratio=_cache_hit_ratio(self._snapshot_registry()),
+            cache_hit_ratio=_cache_hit_ratio(snapshot),
             final=final,
         )
 
@@ -438,7 +423,7 @@ class LiveFlusher(threading.Thread):
             snapshot = self._snapshot_registry()
             write_atomic_json(
                 heartbeat_path(self.directory, self.shard_label),
-                self.build_heartbeat(final=final).to_dict(),
+                self.build_heartbeat(snapshot, final=final).to_dict(),
             )
             write_atomic_json(
                 metrics_path(self.directory, self.shard_label), snapshot
@@ -488,6 +473,5 @@ __all__ = [
     "iter_heartbeats",
     "live_interval",
     "metrics_path",
-    "validate_heartbeat",
     "write_atomic_json",
 ]

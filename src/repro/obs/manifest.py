@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from .live import write_atomic_json
+
 #: Bump when a field changes meaning; validators check compatibility.
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -81,11 +83,8 @@ class RunManifest:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=repr)
 
     def write(self, path: Path | str) -> Path:
-        """Write the manifest as JSON; returns the path written."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
+        """Atomically write the manifest as JSON; returns the path written."""
+        return write_atomic_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunManifest":

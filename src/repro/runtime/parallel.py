@@ -19,7 +19,6 @@ layer shares (``run_seeds``, ``downsizing_curve``, the ablation sweeps,
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import time
@@ -53,8 +52,8 @@ class BrokenPoolError(RuntimeError):
     This wrapper pins the earliest affected chunk: its index, the item
     slice it covered, and a repr preview of those items -- enough to
     reproduce the kill serially.  Counted under
-    ``runtime.parallel.broken_pool``; with ``serial_fallback=False`` it
-    propagates to the caller instead of retrying serially.
+    ``runtime.parallel.broken_pool`` and recorded as the map's
+    ``fallback_reason`` before the serial retry.
     """
 
     def __init__(self, chunk_index: int, item_range: tuple[int, int], items):
@@ -69,6 +68,10 @@ class BrokenPoolError(RuntimeError):
             f"process pool broke while executing chunk {chunk_index} "
             f"(items {lo}:{hi}): [{preview}]"
         )
+
+#: Contiguous chunks dispatched per worker: more smooth out stragglers
+#: at the cost of more pickling round-trips.
+CHUNKS_PER_WORKER = 4
 
 #: Per-process shared payload installed by ``ParallelMap.map(shared=...)``.
 _SHARED: object | None = None
@@ -132,58 +135,6 @@ class MapStats:
     chunk_durations: list[float] = field(default_factory=list)
     #: Pid that executed each chunk (the coordinator's own for serial).
     chunk_pids: list[int] = field(default_factory=list)
-
-    @property
-    def total_task_time(self) -> float:
-        """Sum of per-task durations -- the serial-equivalent work (s)."""
-        return sum(self.task_durations)
-
-    @property
-    def mean_task_time(self) -> float:
-        """Average per-task duration (s)."""
-        if not self.task_durations:
-            return 0.0
-        return self.total_task_time / len(self.task_durations)
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """``total_task_time / (workers * elapsed)`` -- 1.0 is perfect."""
-        if self.elapsed <= 0 or self.workers <= 0:
-            return 0.0
-        return self.total_task_time / (self.workers * self.elapsed)
-
-    def _chunk_percentile(self, p: float) -> float:
-        """Nearest-rank percentile of worker-side chunk wall times (s)."""
-        if not self.chunk_durations:
-            return 0.0
-        ordered = sorted(self.chunk_durations)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-    @property
-    def chunk_latency_p50(self) -> float:
-        """Median worker-side chunk wall time (s)."""
-        return self._chunk_percentile(50)
-
-    @property
-    def chunk_latency_p95(self) -> float:
-        """95th-percentile worker-side chunk wall time (s) -- stragglers."""
-        return self._chunk_percentile(95)
-
-    def summary(self) -> str:
-        """One-line human-readable digest for benchmark output."""
-        text = (
-            f"{self.mode} x{self.workers}: {self.n_tasks} tasks in "
-            f"{self.elapsed:.3f}s (task mean {1e3 * self.mean_task_time:.2f}ms,"
-            f" efficiency {self.parallel_efficiency:.2f})"
-        )
-        if self.chunk_durations:
-            text += (
-                f" [chunks {len(self.chunk_durations)}, p50 "
-                f"{1e3 * self.chunk_latency_p50:.2f}ms, p95 "
-                f"{1e3 * self.chunk_latency_p95:.2f}ms]"
-            )
-        return text
 
 
 @dataclass
@@ -284,31 +235,14 @@ class ParallelMap:
     workers:
         Process count.  ``<= 1`` executes inline (serial); ``None``/``0``
         uses every available core.
-    chunks_per_worker:
-        Dispatch granularity: each worker receives about this many
-        contiguous chunks.  More chunks smooth out stragglers at the
-        cost of more pickling round-trips.
-    serial_fallback:
-        When True (the default) any pool-infrastructure failure retries
-        the whole map serially.  False propagates the failure instead
-        -- a dead worker surfaces as :class:`BrokenPoolError` naming
-        the in-flight chunk, which callers like long experiment runs
-        prefer over silently re-running hours of work inline.
 
+    Each worker receives :data:`CHUNKS_PER_WORKER` contiguous chunks,
+    and any pool-infrastructure failure retries the whole map serially.
     After each :meth:`map` call, :attr:`stats` describes what happened.
     """
 
-    def __init__(
-        self,
-        workers: int | None = 1,
-        chunks_per_worker: int = 4,
-        serial_fallback: bool = True,
-    ) -> None:
-        if chunks_per_worker < 1:
-            raise ConfigurationError("chunks_per_worker must be >= 1")
+    def __init__(self, workers: int | None = 1) -> None:
         self.workers = resolve_workers(workers)
-        self.chunks_per_worker = chunks_per_worker
-        self.serial_fallback = serial_fallback
         self.stats = MapStats()
 
     # -- execution ---------------------------------------------------------
@@ -349,7 +283,7 @@ class ParallelMap:
     def _map_processes(
         self, fn: Callable, items: Sequence, shared: object | None = None
     ) -> list:
-        slices = _chunk_slices(len(items), self.workers * self.chunks_per_worker)
+        slices = _chunk_slices(len(items), self.workers * CHUNKS_PER_WORKER)
         trace_pid = os.getpid() if OBS.enabled else None
         pool_kwargs = {}
         if shared is not None:
@@ -419,18 +353,11 @@ class ParallelMap:
                 else:
                     try:
                         results = self._map_processes(fn, item_list, shared)
-                    except BrokenPoolError as exc:
-                        if OBS.enabled:
+                    except (BrokenPoolError, *_POOL_FAILURES) as exc:
+                        if isinstance(exc, BrokenPoolError) and OBS.enabled:
                             OBS.metrics.counter(
                                 "runtime.parallel.broken_pool"
                             ).inc()
-                        if not self.serial_fallback:
-                            raise
-                        self._drop_partial_records(exc)
-                        results = self._map_serial(fn, item_list)
-                    except _POOL_FAILURES as exc:
-                        if not self.serial_fallback:
-                            raise
                         self._drop_partial_records(exc)
                         results = self._map_serial(fn, item_list)
         finally:
@@ -446,9 +373,3 @@ class ParallelMap:
                 OBS.metrics.counter("runtime.parallel.fallbacks").inc()
         return results
 
-
-def parallel_map(
-    fn: Callable, items: Iterable, workers: int | None = 1
-) -> list:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
-    return ParallelMap(workers=workers).map(fn, items)

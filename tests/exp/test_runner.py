@@ -239,11 +239,7 @@ class TestLiveRun:
         import json
 
         from repro.obs import observing
-        from repro.obs.live import (
-            heartbeat_path,
-            metrics_path,
-            validate_heartbeat,
-        )
+        from repro.obs.live import Heartbeat, heartbeat_path, metrics_path
 
         store = ExperimentStore(tmp_path / "exp")
         # As `fcdpm exp run --live` does: record into a fresh registry.
@@ -251,18 +247,25 @@ class TestLiveRun:
             run = run_experiment(spec, store=store, cache=ResultCache(), live=0.1)
         assert run.executed == 4 and run.failed == 0
         exp_dir = store.experiment_dir(spec.name)
-        hb = json.loads(heartbeat_path(exp_dir).read_text())
-        assert validate_heartbeat(hb) == []
-        assert hb["final"] is True
-        assert hb["phase"] == "done"
-        assert hb["tasks_done"] == 4 and hb["tasks_total"] == 4
+        hb = Heartbeat.from_dict(json.loads(heartbeat_path(exp_dir).read_text()))
+        assert hb.final is True
+        assert hb.phase == "done"
+        assert hb.tasks_done == 4 and hb.tasks_total == 4
+        # The metrics snapshot has no reader in the program: check its
+        # shape here -- an object of instrument dicts, each naming a type.
         metrics = json.loads(metrics_path(exp_dir).read_text())
-        assert all(isinstance(v.get("type"), str) for v in metrics.values())
-        done = [
-            v for k, v in metrics.items() if k.partition("{")[0] == "exp.tasks_done"
-        ]
-        assert done and all(v["type"] == "counter" for v in done)
+        assert isinstance(metrics, dict) and metrics
+        assert all(
+            isinstance(v, dict) and isinstance(v.get("type"), str)
+            for v in metrics.values()
+        )
+        by_name: dict = {}
+        for key, value in metrics.items():
+            by_name.setdefault(key.partition("{")[0], []).append(value)
+        done = by_name["exp.tasks_done"]
+        assert all(v["type"] == "counter" for v in done)
         assert sum(v["value"] for v in done) == 4
+        assert "sim.batch_rows_completed" in by_name
 
     def test_sharded_live_run_uses_shard_sidecar_names(self, tmp_path, spec):
         import json
@@ -285,18 +288,19 @@ class TestLiveRun:
         import json
 
         from repro.exp import AbortRun
-        from repro.obs.live import heartbeat_path, is_stalled
+        from repro.obs.live import Heartbeat, heartbeat_path, is_stalled
 
         store = ExperimentStore(tmp_path / "exp")
         monkeypatch.setenv("FCDPM_EXP_ABORT_AFTER", "2")
         with pytest.raises(AbortRun):
             run_experiment(spec, store=store, cache=ResultCache(), live=0.1)
-        hb = json.loads(heartbeat_path(store.experiment_dir(spec.name)).read_text())
-        assert hb["final"] is False
-        assert hb["phase"] == "aborted"
-        assert hb["tasks_done"] == 2
+        path = heartbeat_path(store.experiment_dir(spec.name))
+        hb = Heartbeat.from_dict(json.loads(path.read_text()))
+        assert hb.final is False
+        assert hb.phase == "aborted"
+        assert hb.tasks_done == 2
         # The non-final heartbeat goes stale -> the watcher flags it.
-        assert is_stalled(hb, now=hb["updated"] + 10.0)
+        assert is_stalled(hb, now=hb.updated + 10.0)
 
     def test_live_off_writes_nothing(self, tmp_path, spec, monkeypatch):
         from repro.obs.live import heartbeat_path

@@ -1,4 +1,4 @@
-"""Lifecycle store: persistence, schema validation, shard merge."""
+"""Lifecycle store: persistence, the validating reader, shard merge."""
 
 import json
 
@@ -10,7 +10,7 @@ from repro.exp import (
     ExperimentStore,
     run_experiment,
     scenario_batch_spec,
-    validate_state_dict,
+    sweep_spec,
 )
 
 
@@ -24,6 +24,22 @@ def spec():
 @pytest.fixture
 def store(tmp_path):
     return ExperimentStore(tmp_path / "experiments")
+
+
+def _load_error(store, spec, edit=None, text=None) -> str:
+    """Define ``spec``, then write its ``state.json`` payload changed in
+    place by ``edit`` (or replaced by ``text``), and return what the
+    reader refuses it with (always naming the file)."""
+    data = store.define(spec).to_dict()
+    if edit is not None:
+        edit(data)
+    path = store.state_path(spec.name)
+    path.write_text(json.dumps(data) if text is None else text)
+    with pytest.raises(ConfigurationError) as excinfo:
+        store.load(spec.name)
+    message = str(excinfo.value)
+    assert str(path) in message
+    return message
 
 
 class TestStateRoundTrip:
@@ -54,45 +70,121 @@ class TestStateRoundTrip:
         records[0].status = "failed"
         assert state.derive_status() == "failed"
 
-    def test_valid_state_passes_schema_check(self, spec):
-        state = ExperimentState.define(spec)
-        assert validate_state_dict(state.to_dict()) == []
+    def test_valid_state_passes_schema_check(self, store, spec):
+        state = store.define(spec)
+        assert store.load(spec.name).to_dict() == state.to_dict()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: scenario_batch_spec("a", "exp2-fc-dpm", [0, 1, 2]),
+            lambda: scenario_batch_spec(
+                "b", "exp2-fc-dpm", [4, 0], policies=("conv-dpm", "fc-dpm")
+            ),
+            lambda: sweep_spec("recharge", [0.25, 0.5, 0.75], seed=3),
+        ],
+    )
+    def test_positional_task_ids_agree_with_the_expansion(self, make):
+        # The reader checks ids against t{index:05d} over n_tasks
+        # instead of expanding the spec a second time.
+        spec = make()
+        expanded = [task.task_id for task in spec.expand()]
+        assert expanded == [f"t{i:05d}" for i in range(spec.n_tasks)]
+        data = ExperimentState.define(spec).to_dict()
+        assert ExperimentState.from_dict(data).to_dict() == data
 
 
 class TestSchemaValidation:
-    def test_rejects_non_dict(self):
-        assert validate_state_dict([]) != []
+    """Each malformed ``state.json`` is one more input to the reader."""
 
-    def test_rejects_bad_version(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["schema_version"] = 99
-        assert any("schema_version" in p for p in validate_state_dict(data))
+    def test_rejects_non_dict(self, store, spec):
+        message = _load_error(store, spec, text="[]")
+        assert "JSON object" in message
 
-    def test_rejects_tampered_hash(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["spec_hash"] = "0" * 16
-        assert any("spec_hash" in p for p in validate_state_dict(data))
+    def test_rejects_bad_version(self, store, spec):
+        message = _load_error(
+            store, spec, lambda data: data.update(schema_version=99)
+        )
+        assert "schema_version" in message
 
-    def test_rejects_missing_task(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["tasks"].popitem()
-        assert any("task ids disagree" in p for p in validate_state_dict(data))
+    def test_rejects_tampered_hash(self, store, spec):
+        message = _load_error(
+            store, spec, lambda data: data.update(spec_hash="0" * 16)
+        )
+        assert "spec_hash" in message
 
-    def test_rejects_settled_without_cache_key(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["tasks"]["t00000"]["status"] = "done"
-        assert any("cache_key" in p for p in validate_state_dict(data))
+    def test_rejects_missing_task(self, store, spec):
+        message = _load_error(store, spec, lambda data: data["tasks"].popitem())
+        assert "task ids disagree" in message
 
-    def test_rejects_unknown_status(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["tasks"]["t00000"]["status"] = "paused"
-        assert any("unknown status" in p for p in validate_state_dict(data))
+    def test_rejects_settled_without_cache_key(self, store, spec):
+        message = _load_error(
+            store, spec,
+            lambda data: data["tasks"]["t00000"].update(status="done"),
+        )
+        assert "t00000: settled without a cache_key" in message
 
-    def test_rejects_unknown_spec_key(self, spec):
-        data = ExperimentState.define(spec).to_dict()
-        data["spec"]["fast"] = True
-        problems = validate_state_dict(data)
-        assert any("round-trip" in p and "'fast'" in p for p in problems)
+    def test_rejects_unknown_status(self, store, spec):
+        message = _load_error(
+            store, spec,
+            lambda data: data["tasks"]["t00000"].update(status="paused"),
+        )
+        assert "unknown status 'paused'" in message
+
+    def test_rejects_unknown_spec_key(self, store, spec):
+        message = _load_error(
+            store, spec, lambda data: data["spec"].update(fast=True)
+        )
+        assert "'fast'" in message
+
+    def test_rejects_record_without_status(self, store, spec):
+        # Used to load as "defined", and `exp status` exited 0.
+        message = _load_error(
+            store, spec, lambda data: data["tasks"]["t00001"].pop("status")
+        )
+        assert "t00001: missing key 'status'" in message
+
+    @pytest.mark.parametrize(
+        "key", ["name", "status", "created", "updated", "fingerprint", "tasks"]
+    )
+    def test_rejects_missing_state_key(self, store, spec, key):
+        message = _load_error(store, spec, lambda data: data.pop(key))
+        assert f"missing key {key!r}" in message
+
+    def test_rejects_state_key_the_writer_never_writes(self, store, spec):
+        message = _load_error(store, spec, lambda data: data.update(note="x"))
+        assert "unknown key 'note'" in message
+
+    def test_rejects_record_key_the_writer_never_writes(self, store, spec):
+        message = _load_error(
+            store, spec, lambda data: data["tasks"]["t00003"].update(retries=2)
+        )
+        assert "t00003: unknown key 'retries'" in message
+
+    def test_rejects_unknown_experiment_status(self, store, spec):
+        message = _load_error(store, spec, lambda data: data.update(status="paused"))
+        assert "unknown experiment status 'paused'" in message
+
+    def test_rejects_name_other_than_the_spec_name(self, store, spec):
+        message = _load_error(store, spec, lambda data: data.update(name="other"))
+        assert "spec name 'demo'" in message
+
+    def test_rejects_malformed_spec(self, store, spec):
+        message = _load_error(store, spec, lambda data: data["spec"].pop("kind"))
+        assert "malformed spec" in message and "'kind'" in message
+
+    def test_rejects_task_id_mismatch(self, store, spec):
+        message = _load_error(
+            store, spec,
+            lambda data: data["tasks"]["t00002"].update(task_id="t00003"),
+        )
+        assert "t00002: task_id 't00003' mismatch" in message
+
+    def test_rejects_non_object_record(self, store, spec):
+        message = _load_error(
+            store, spec, lambda data: data["tasks"].update(t00000=None)
+        )
+        assert "t00000: record must be an object" in message
 
 
 class TestStore:
@@ -155,6 +247,15 @@ class TestStore:
         leftovers = list(store.experiment_dir("demo").glob("*.tmp"))
         assert leftovers == []
 
+    def test_save_writes_sorted_indented_json_and_returns_the_path(
+        self, store, spec
+    ):
+        state = ExperimentState.define(spec)
+        path = store.save(state)
+        assert path == store.state_path(spec.name)
+        expected = json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
 
 class TestMerge:
     def test_shards_fold_into_main_state(self, store, spec):
@@ -196,3 +297,21 @@ class TestMerge:
         path.write_text(json.dumps(foreign.to_dict()))
         with pytest.raises(ConfigurationError, match="different spec"):
             store.merge("demo")
+
+    def test_merge_refuses_shard_with_unknown_status(self, store, spec):
+        # Used to die with KeyError: 'bogus' in the merge ranking.
+        store.define(spec)
+        shard_state = store.load(spec.name)
+        shard_state.tasks["t00000"].status = "bogus"
+        path = store.save(shard_state, shard=(1, 2))
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.merge(spec.name)
+        message = str(excinfo.value)
+        assert str(path) in message and "unknown status 'bogus'" in message
+
+    def test_merge_refuses_torn_shard(self, store, spec):
+        store.define(spec)
+        path = store.save(store.load(spec.name), shard=(2, 2))
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ConfigurationError, match="unreadable state file"):
+            store.merge(spec.name)

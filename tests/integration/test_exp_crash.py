@@ -2,7 +2,7 @@
 
 * A child interpreter is hard-killed (``os._exit``) in the middle of a
   ``simulate_batch`` group, after ``k`` cache entries were stored.  The
-  ``state.json`` it leaves must validate, may lag the cache but never
+  ``state.json`` it leaves must load, may lag the cache but never
   claim a ``done`` the cache cannot back, and the resume must pick up
   exactly the ``k`` stored cells.
 * A truncated ``state.json`` is refused with a ``ConfigurationError``.
@@ -34,7 +34,6 @@ from repro.exp import (
     scenario_batch_spec,
 )
 from repro.exp.runner import verified_in_cache
-from repro.exp.state import validate_state_dict
 from repro.exp.tasks import result_metrics
 from repro.runtime.cache import ResultCache, code_fingerprint
 from repro.sim.vectorized import simulate_batch
@@ -107,12 +106,11 @@ class TestHardKill:
         )
         assert child.returncode == 9, child.stderr
 
-        data = json.loads(store.state_path(spec.name).read_text())
-        assert validate_state_dict(data) == []
+        killed = store.load(spec.name)
         fingerprint = code_fingerprint()
-        for task_id, record in data["tasks"].items():
-            if record["status"] == "done":
-                assert verified_in_cache(cache, record["cache_key"], fingerprint), task_id
+        for task_id, record in killed.tasks.items():
+            if record.status == "done":
+                assert verified_in_cache(cache, record.cache_key, fingerprint), task_id
 
         resumed = run_experiment(spec.name, store=store, cache=cache)
         assert resumed.resumed == KILL_AFTER

@@ -126,8 +126,7 @@ class TestParallelTelemetry:
         assert sum(stats.chunk_sizes) == 23
         assert len(stats.chunk_durations) == len(stats.chunk_sizes)
         assert len(stats.chunk_pids) == len(stats.chunk_sizes)
-        assert 0.0 <= stats.chunk_latency_p50 <= stats.chunk_latency_p95
-        assert "chunks" in stats.summary() and "p95" in stats.summary()
+        assert all(d >= 0.0 for d in stats.chunk_durations)
 
     def test_serial_map_has_in_process_chunk_spans(self):
         pm = ParallelMap(workers=1)

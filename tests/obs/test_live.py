@@ -1,10 +1,11 @@
-"""Live telemetry: heartbeat schema/atomicity, stall detection, flusher."""
+"""Live telemetry: the heartbeat reader, atomicity, stall detection, flusher."""
 
 import json
 import threading
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs.live import (
     DEFAULT_LIVE_INTERVAL,
     HEARTBEAT_SCHEMA_VERSION,
@@ -17,7 +18,6 @@ from repro.obs.live import (
     iter_heartbeats,
     live_interval,
     metrics_path,
-    validate_heartbeat,
     write_atomic_json,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -40,6 +40,24 @@ def make_heartbeat(**overrides) -> Heartbeat:
     )
     defaults.update(overrides)
     return Heartbeat(**defaults)
+
+
+def read_back(tmp_path, data):
+    """What the heartbeat reader makes of ``data`` written as a file:
+    a :class:`Heartbeat`, or the error naming the file."""
+    path = tmp_path / "heartbeat.json"
+    path.write_text(json.dumps(data))
+    ((label, beat),) = iter_heartbeats(tmp_path)
+    assert label is None
+    if isinstance(beat, ConfigurationError):
+        assert str(path) in str(beat)
+    return beat
+
+
+def refusal(tmp_path, data) -> str:
+    beat = read_back(tmp_path, data)
+    assert isinstance(beat, ConfigurationError)
+    return str(beat)
 
 
 class TestLiveInterval:
@@ -75,38 +93,62 @@ class TestHeartbeatSchema:
         assert data["schema_version"] == HEARTBEAT_SCHEMA_VERSION
         assert Heartbeat.from_dict(data) == hb
 
-    def test_valid_heartbeat_passes(self):
-        assert validate_heartbeat(make_heartbeat().to_dict()) == []
+    def test_valid_heartbeat_passes(self, tmp_path):
+        hb = make_heartbeat(shard="2/3", cache_hit_ratio=0.5, final=True)
+        assert read_back(tmp_path, hb.to_dict()) == hb
 
-    def test_non_dict_rejected(self):
-        assert validate_heartbeat([1, 2]) != []
+    def test_non_dict_rejected(self, tmp_path):
+        assert "expected a JSON object, got list" in refusal(tmp_path, [1, 2])
 
-    def test_missing_field_flagged(self):
+    def test_missing_field_flagged(self, tmp_path):
         data = make_heartbeat().to_dict()
         del data["tasks_done"]
-        assert any("tasks_done" in p for p in validate_heartbeat(data))
+        assert "missing field 'tasks_done'" in refusal(tmp_path, data)
 
-    def test_type_error_flagged(self):
+    def test_type_error_flagged(self, tmp_path):
         data = make_heartbeat().to_dict()
         data["tasks_done"] = "three"
-        assert validate_heartbeat(data)
+        assert "field 'tasks_done' has type str" in refusal(tmp_path, data)
 
-    def test_done_plus_failed_beyond_total_flagged(self):
+    def test_bool_is_not_a_number_and_final_must_be_bool(self, tmp_path):
+        data = make_heartbeat(tasks_done=True).to_dict()
+        assert "field 'tasks_done' has type bool" in refusal(tmp_path, data)
+        data = make_heartbeat(final=1).to_dict()
+        assert "field 'final' has type int" in refusal(tmp_path, data)
+
+    def test_nullable_fields_must_be_null_or_typed(self, tmp_path):
+        data = make_heartbeat(eta_s="soon").to_dict()
+        assert "field 'eta_s' has type str" in refusal(tmp_path, data)
+        data = make_heartbeat(shard=2).to_dict()
+        assert "field 'shard' has type int" in refusal(tmp_path, data)
+
+    def test_string_updated_flagged(self, tmp_path):
+        # Used to crash `exp watch --once` and `top --once` (ValueError).
+        data = make_heartbeat().to_dict()
+        data["updated"] = "2026-01-01T00:00:00"
+        assert "field 'updated' has type str" in refusal(tmp_path, data)
+
+    def test_done_plus_failed_beyond_total_flagged(self, tmp_path):
         data = make_heartbeat(tasks_done=7, tasks_failed=2).to_dict()
-        assert any("exceeds total" in p for p in validate_heartbeat(data))
+        assert "exceeds total" in refusal(tmp_path, data)
 
-    def test_updated_before_started_flagged(self):
+    def test_updated_before_started_flagged(self, tmp_path):
         data = make_heartbeat(updated=999.0).to_dict()
-        assert any("predates" in p for p in validate_heartbeat(data))
+        assert "predates" in refusal(tmp_path, data)
 
-    def test_nonpositive_interval_flagged(self):
+    def test_nonpositive_interval_flagged(self, tmp_path):
         data = make_heartbeat(interval_s=0.0).to_dict()
-        assert any("interval_s" in p for p in validate_heartbeat(data))
+        assert "interval_s 0.0 not > 0" in refusal(tmp_path, data)
 
-    def test_newer_schema_version_flagged(self):
+    def test_negative_count_flagged(self, tmp_path):
+        # With interval_s 0 and a future `updated` this showed as live.
+        data = make_heartbeat(tasks_done=-5, updated=1e12).to_dict()
+        assert "negative tasks_done" in refusal(tmp_path, data)
+
+    def test_newer_schema_version_flagged(self, tmp_path):
         data = make_heartbeat().to_dict()
         data["schema_version"] = HEARTBEAT_SCHEMA_VERSION + 1
-        assert any("newer" in p for p in validate_heartbeat(data))
+        assert "newer" in refusal(tmp_path, data)
 
 
 class TestPaths:
@@ -168,27 +210,27 @@ class TestAtomicJson:
 
 class TestStallDetection:
     def test_fresh_heartbeat_not_stalled(self):
-        data = make_heartbeat(updated=1000.0).to_dict()
-        assert not is_stalled(data, now=1000.5)
+        beat = make_heartbeat(updated=1000.0)
+        assert not is_stalled(beat, now=1000.5)
 
     def test_age_beyond_factor_times_interval_is_stalled(self):
         # interval 0.5s, factor 3 -> threshold 1.5s.
-        data = make_heartbeat(updated=1000.0).to_dict()
-        assert not is_stalled(data, now=1001.4)
-        assert is_stalled(data, now=1001.6)
+        beat = make_heartbeat(updated=1000.0)
+        assert not is_stalled(beat, now=1001.4)
+        assert is_stalled(beat, now=1001.6)
 
     def test_custom_factor(self):
-        data = make_heartbeat(updated=1000.0).to_dict()
-        assert is_stalled(data, now=1000.6, factor=1.0)
-        assert not is_stalled(data, now=1000.6, factor=10.0)
+        beat = make_heartbeat(updated=1000.0)
+        assert is_stalled(beat, now=1000.6, factor=1.0)
+        assert not is_stalled(beat, now=1000.6, factor=10.0)
 
     def test_final_heartbeat_never_stalls(self):
-        data = make_heartbeat(final=True, updated=1000.0).to_dict()
-        assert not is_stalled(data, now=99999.0)
+        beat = make_heartbeat(final=True, updated=1000.0)
+        assert not is_stalled(beat, now=99999.0)
 
     def test_age_clamped_nonnegative(self):
-        data = make_heartbeat(updated=1000.0).to_dict()
-        assert heartbeat_age(data, now=999.0) == 0.0
+        beat = make_heartbeat(updated=1000.0)
+        assert heartbeat_age(beat, now=999.0) == 0.0
 
 
 class TestIterHeartbeats:
@@ -207,14 +249,19 @@ class TestIterHeartbeats:
         labels = [label for label, _ in iter_heartbeats(tmp_path)]
         assert labels == [None, "1/2", "2/2"]
 
-    def test_skips_torn_and_foreign_files(self, tmp_path):
+    def test_reports_torn_and_skips_foreign_files(self, tmp_path):
+        # Writes are atomic, so a torn file is corruption: it is listed
+        # with its error, not skipped; a foreign name is not a heartbeat.
         (tmp_path / "heartbeat.json").write_text("{not json")
         (tmp_path / "heartbeat.backup.json").write_text("{}")
         write_atomic_json(
             tmp_path / "heartbeat.shard-1-of-2.json",
             make_heartbeat(shard="1/2").to_dict(),
         )
-        assert [label for label, _ in iter_heartbeats(tmp_path)] == ["1/2"]
+        (torn_label, torn), (label, beat) = iter_heartbeats(tmp_path)
+        assert torn_label is None and isinstance(torn, ConfigurationError)
+        assert str(tmp_path / "heartbeat.json") in str(torn)
+        assert label == "1/2" and beat == make_heartbeat(shard="1/2")
 
     def test_missing_directory_is_empty(self, tmp_path):
         assert iter_heartbeats(tmp_path / "nope") == []
@@ -262,11 +309,10 @@ class TestLiveFlusher:
         flusher = self._flusher(tmp_path, registry=registry, interval=0.1)
         flusher.progress.add_done(2)
         flusher.flush()
-        hb = json.loads(heartbeat_path(tmp_path).read_text())
-        assert validate_heartbeat(hb) == []
-        assert hb["tasks_done"] == 2
-        assert hb["tasks_total"] == 4
-        assert not hb["final"]
+        hb = Heartbeat.from_dict(json.loads(heartbeat_path(tmp_path).read_text()))
+        assert hb.tasks_done == 2
+        assert hb.tasks_total == 4
+        assert not hb.final
         metrics = json.loads(metrics_path(tmp_path).read_text())
         assert metrics["sim.route{path=fast}"] == {"type": "counter", "value": 4.0}
 
@@ -296,26 +342,49 @@ class TestLiveFlusher:
         flusher = self._flusher(tmp_path, interval=0.05)
         flusher.start()
         flusher.stop(final=False)
-        hb = json.loads(heartbeat_path(tmp_path).read_text())
-        assert hb["final"] is False
+        hb = Heartbeat.from_dict(json.loads(heartbeat_path(tmp_path).read_text()))
+        assert hb.final is False
         # ... which is exactly what goes stale and trips the detector.
-        assert is_stalled(hb, now=hb["updated"] + 10.0)
+        assert is_stalled(hb, now=hb.updated + 10.0)
 
     def test_cache_hit_ratio_from_registry(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("runtime.cache.hits").inc(3)
         registry.counter("runtime.cache.misses").inc(1)
         flusher = self._flusher(tmp_path, registry=registry, interval=0.1)
-        assert flusher.build_heartbeat().cache_hit_ratio == pytest.approx(0.75)
+        hb = flusher.build_heartbeat(registry.snapshot())
+        assert hb.cache_hit_ratio == pytest.approx(0.75)
+
+    def test_flush_takes_one_snapshot_for_heartbeat_and_metrics(self, tmp_path):
+        class ShiftingRegistry:
+            """A registry whose cache hits grow on every snapshot."""
+
+            calls = 0
+
+            def snapshot(self):
+                self.calls += 1
+                return {
+                    "runtime.cache.hits": {"type": "counter", "value": self.calls},
+                    "runtime.cache.misses": {"type": "counter", "value": 1},
+                }
+
+        registry = ShiftingRegistry()
+        flusher = self._flusher(tmp_path, registry=registry, interval=0.1)
+        flusher.flush()
+        assert registry.calls == 1
+        hb = json.loads(heartbeat_path(tmp_path).read_text())
+        metrics = json.loads(metrics_path(tmp_path).read_text())
+        hits = metrics["runtime.cache.hits"]["value"]
+        assert hb["cache_hit_ratio"] == pytest.approx(hits / (hits + 1))
 
     def test_no_cache_traffic_means_null_ratio(self, tmp_path):
         flusher = self._flusher(tmp_path, interval=0.1)
-        assert flusher.build_heartbeat().cache_hit_ratio is None
+        assert flusher.build_heartbeat(MetricsRegistry().snapshot()).cache_hit_ratio is None
 
     def test_eta_projects_remaining_work(self, tmp_path):
         flusher = self._flusher(tmp_path, interval=0.1)
         flusher.progress.add_done(2)
-        hb = flusher.build_heartbeat()
+        hb = flusher.build_heartbeat({})
         assert hb.task_rate > 0
         assert hb.eta_s == pytest.approx(2 / hb.task_rate)
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.obs import RunManifest, build_manifest
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, package_versions
 from repro.obs.schema import validate_manifest
@@ -42,6 +44,22 @@ def test_write_read_roundtrip(tmp_path):
     assert path.exists()
     rebuilt = RunManifest.from_dict(json.loads(path.read_text()))
     assert rebuilt == m
+
+
+def test_failed_write_leaves_the_previous_manifest_whole(tmp_path, monkeypatch):
+    # The write goes through a temp file and os.replace: a crash before
+    # the rename leaves the old manifest, never a torn one.
+    path = build_manifest("first", fingerprint="a").write(tmp_path / "manifest.json")
+    before = path.read_text()
+
+    def crash(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr("repro.obs.live.os.replace", crash)
+    with pytest.raises(OSError, match="before the rename"):
+        build_manifest("second", fingerprint="b").write(path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_shallow_to_dict_serializes_like_a_deep_copy():

@@ -1,14 +1,15 @@
 """Unit tests for the ParallelMap executor."""
 
+import os
+from functools import partial
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.parallel import (
-    BrokenPoolError,
     MapStats,
     ParallelMap,
     _chunk_slices,
-    parallel_map,
     resolve_workers,
 )
 
@@ -21,12 +22,13 @@ def _boom(x):
     raise ValueError(f"bad item {x}")
 
 
-def _die(x):
-    # Kill the worker process outright -- the pool sees a vanished
-    # worker and raises BrokenProcessPool, never a task exception.
-    import os
-
-    os._exit(13)
+def _die_outside(coordinator_pid, x):
+    # Kill a worker process outright -- the pool sees a vanished worker
+    # and raises BrokenProcessPool, never a task exception -- but
+    # square in the coordinator, so the serial retry succeeds.
+    if os.getpid() != coordinator_pid:
+        os._exit(13)
+    return x * x
 
 
 class TestResolveWorkers:
@@ -103,31 +105,12 @@ class TestProcess:
         with pytest.raises(ValueError, match="bad item"):
             ParallelMap(workers=2).map(_boom, list(range(4)))
 
-    def test_one_shot_wrapper(self):
-        assert parallel_map(_square, [2, 3], workers=2) == [4, 9]
-
 
 class TestStats:
-    def test_summary_renders(self):
-        pm = ParallelMap(workers=1)
-        pm.map(_square, range(3))
-        text = pm.stats.summary()
-        assert "3 tasks" in text and "serial" in text
-
-    def test_efficiency_bounds(self):
-        pm = ParallelMap(workers=1)
-        pm.map(_square, range(50))
-        assert 0.0 <= pm.stats.parallel_efficiency <= 1.5
-
     def test_defaults(self):
         stats = MapStats()
-        assert stats.mean_task_time == 0.0
-        assert stats.total_task_time == 0.0
-        assert stats.parallel_efficiency == 0.0
-
-    def test_invalid_chunks_per_worker(self):
-        with pytest.raises(ConfigurationError):
-            ParallelMap(workers=1, chunks_per_worker=0)
+        assert (stats.mode, stats.workers, stats.n_tasks) == ("serial", 1, 0)
+        assert stats.chunk_durations == [] and stats.fallback_reason is None
 
 
 @pytest.mark.skipif(
@@ -139,35 +122,26 @@ class TestBrokenPool:
     def test_fallback_recovers_and_counts(self):
         from repro.obs import observing
 
-        # A map that dies in the pool but succeeds serially is
-        # impossible to build from one function; instead verify the
-        # counter + error shape with fallback disabled, and the default
-        # fallback path with a healthy function.
+        # Every worker dies on its first item; the coordinator squares.
         with observing() as obs:
-            pm = ParallelMap(workers=2, serial_fallback=False)
-            with pytest.raises(BrokenPoolError) as excinfo:
-                pm.map(_die, list(range(8)))
+            pm = ParallelMap(workers=2)
+            results = pm.map(partial(_die_outside, os.getpid()), list(range(8)))
             snapshot = obs.metrics.snapshot()
-        err = excinfo.value
-        assert err.chunk_index == 0
-        lo, hi = err.item_range
-        assert (lo, hi) == (0, 1)
-        assert err.items_preview == ["0"]
-        assert "chunk 0" in str(err) and "0:1" in str(err)
-        broken = [k for k in snapshot if k.startswith("runtime.parallel.broken_pool")]
-        assert broken and snapshot[broken[0]]["value"] == 1
+        assert results == [x * x for x in range(8)]
+        assert pm.stats.mode == "serial"
+        # The earliest affected chunk is named: index, item range, items.
+        assert pm.stats.fallback_reason == (
+            "BrokenPoolError: process pool broke while executing chunk 0 "
+            "(items 0:1): [0]"
+        )
+        assert snapshot["runtime.parallel.broken_pool"]["value"] == 1
+        assert snapshot["runtime.parallel.fallbacks"]["value"] == 1
 
     def test_fallback_enabled_still_returns_results(self):
-        # Default serial_fallback=True: a dead pool retries serially.
-        # _die would also kill the serial path, so exercise the fallback
-        # with an unpicklable callable instead (PicklingError route).
+        # An unpicklable callable takes the PicklingError route to the
+        # same serial retry.
         pm = ParallelMap(workers=2)
         results = pm.map(lambda x: x + 1, [1, 2, 3])
         assert results == [2, 3, 4]
         assert pm.stats.mode == "serial"
         assert pm.stats.fallback_reason is not None
-
-    def test_no_fallback_propagates_pickling_errors(self):
-        pm = ParallelMap(workers=2, serial_fallback=False)
-        with pytest.raises(Exception):
-            pm.map(lambda x: x + 1, [1, 2, 3])

@@ -293,6 +293,40 @@ class TestExpCommand:
         assert "broken" in captured.out and "unreadable" in captured.out
         assert "broken" in captured.err and "error:" not in captured.out
 
+    def test_merge_refuses_shard_with_unknown_status(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        state_dir = self._define(tmp_path, capsys)
+        assert main([
+            "exp", "run", "demo", "--shard", "1/2", "--state-dir", state_dir,
+        ]) == 0
+        sidecar = Path(state_dir) / "demo" / "state.shard-1-of-2.json"
+        data = json.loads(sidecar.read_text())
+        data["tasks"]["t00000"]["status"] = "bogus"
+        sidecar.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["exp", "merge", "demo", "--state-dir", state_dir]) == 2
+        captured = capsys.readouterr()
+        assert f"error: state file {sidecar}: task t00000: unknown status 'bogus'" in (
+            captured.out
+        )
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_status_refuses_record_without_status(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        state_dir = self._define(tmp_path, capsys)
+        path = Path(state_dir) / "demo" / "state.json"
+        data = json.loads(path.read_text())
+        del data["tasks"]["t00001"]["status"]
+        path.write_text(json.dumps(data))
+        assert main(["exp", "status", "demo", "--state-dir", state_dir]) == 2
+        captured = capsys.readouterr()
+        assert f"state file {path}: task t00001: missing key 'status'" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_experiment_is_a_config_error(self, tmp_path, capsys):
         assert main([
             "exp", "run", "ghost", "--state-dir", str(tmp_path / "x"),
@@ -380,8 +414,10 @@ class TestLiveWatchCommands:
         state_dir = self._define_and_run_live(tmp_path, capsys)
         hb_path = heartbeat_path(f"{state_dir}/live")
         data = json.loads(hb_path.read_text())
-        # Simulate a crashed writer: non-final heartbeat, stale clock.
+        # Simulate a crashed writer: non-final heartbeat, stale clock
+        # (started moves too, so updated never predates it).
         data["final"] = False
+        data["started"] -= 60.0
         data["updated"] -= 60.0
         hb_path.write_text(json.dumps(data))
         assert main([
@@ -393,6 +429,87 @@ class TestLiveWatchCommands:
             "exp", "watch", "live", "--once", "--stall-factor", "1000",
             "--state-dir", state_dir,
         ]) == 0
+
+    def _run_both_shards_and_edit(self, tmp_path, capsys, edit):
+        """Run shards 1/2 and 2/2 live, then rewrite shard 1's heartbeat
+        through ``edit``; returns the state dir and that file's path."""
+        import json
+
+        from repro.obs.live import heartbeat_path
+
+        state_dir = self._define_and_run_live(tmp_path, capsys, shard="1/2")
+        assert main([
+            "exp", "run", "live", "--shard", "2/2", "--live",
+            "--live-interval", "0.2", "--state-dir", state_dir,
+        ]) == 0
+        capsys.readouterr()
+        path = heartbeat_path(f"{state_dir}/live", (1, 2))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        return state_dir, path
+
+    @pytest.mark.parametrize("command", [["exp", "watch", "live"], ["top"]])
+    def test_string_updated_is_an_invalid_row_beside_healthy_shard(
+        self, tmp_path, capsys, command
+    ):
+        # Used to crash both commands with ValueError.
+        state_dir, path = self._run_both_shards_and_edit(
+            tmp_path, capsys, lambda data: data.update(updated="yesterday")
+        )
+        assert main(command + ["--once", "--state-dir", state_dir]) == 1
+        captured = capsys.readouterr()
+        rows = [line for line in captured.out.splitlines() if "/2" in line]
+        assert "invalid" in rows[0] and "1/2" in rows[0]
+        assert "final" in rows[1] and "2/2" in rows[1]
+        assert f"invalid heartbeat {path}: field 'updated' has type str" in (
+            captured.err
+        )
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", [["exp", "watch", "live"], ["top"]])
+    def test_zero_interval_negative_count_is_invalid_not_live(
+        self, tmp_path, capsys, command
+    ):
+        # interval_s 0, tasks_done -5 and a future `updated` used to
+        # render as a live shard and exit 0.
+        def edit(data):
+            data.update(interval_s=0, tasks_done=-5, final=False)
+            data["updated"] += 3600.0
+
+        state_dir, path = self._run_both_shards_and_edit(tmp_path, capsys, edit)
+        assert main(command + ["--once", "--state-dir", state_dir]) == 1
+        captured = capsys.readouterr()
+        states = [
+            line.rsplit("|", 1)[1].strip()
+            for line in captured.out.splitlines() if "/2" in line
+        ]
+        assert states == ["invalid", "final"]
+        assert f"invalid heartbeat {path}: interval_s 0 not > 0" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_stall_beside_invalid_heartbeat_still_exits_4(self, tmp_path, capsys):
+        import json
+
+        from repro.obs.live import heartbeat_path
+
+        state_dir, _ = self._run_both_shards_and_edit(
+            tmp_path, capsys, lambda data: data.pop("pid")
+        )
+        stale = heartbeat_path(f"{state_dir}/live", (2, 2))
+        data = json.loads(stale.read_text())
+        data["final"] = False
+        data["started"] -= 3600.0
+        data["updated"] -= 3600.0
+        stale.write_text(json.dumps(data))
+        assert main([
+            "exp", "watch", "live", "--once", "--json", "--state-dir", state_dir,
+        ]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stalled"] is True
+        invalid, stalled = payload["heartbeats"]
+        assert "missing field 'pid'" in invalid["error"]
+        assert stalled["shard"] == "2/2" and stalled["stalled"] is True
 
     def test_status_json_without_heartbeats(self, tmp_path, capsys):
         import json
