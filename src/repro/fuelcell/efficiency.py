@@ -393,14 +393,30 @@ class ComposedSystemEfficiency(SystemEfficiencyModel):
             controller if controller is not None else ProportionalFanController()
         )
 
-    def fc_current(self, i_f: float) -> float:
-        if i_f < 0:
-            raise RangeError("system output current cannot be negative")
+    def _stack_power(self, i_f: float) -> float:
+        """Converter input power (W) the stack supplies at output ``IF``."""
         if i_f == 0 and self.controller.current(0.0) == 0:
             return 0.0
         p_out = self.v_out * (i_f + self.controller.current(i_f))
-        p_in = self.converter.input_power(p_out)
-        return self.stack.current_for_power(p_in)
+        return self.converter.input_power(p_out)
+
+    def fc_current(self, i_f: float) -> float:
+        if i_f < 0:
+            raise RangeError("system output current cannot be negative")
+        return self.stack.current_for_power(self._stack_power(i_f))
+
+    def fuel_map_array(self, i_f: np.ndarray) -> np.ndarray:
+        """Fuel map over an array from one inversion of the stack curve.
+
+        Each element's stack power comes from the scalar fan and
+        converter code; the stack then inverts them all in one lockstep
+        bisection, so every element is bit-identical to the scalar call.
+        """
+        arr = np.asarray(i_f, dtype=float)
+        if arr.size and float(arr.min()) < 0:
+            raise RangeError("system output current cannot be negative")
+        p_in = [self._stack_power(float(x)) for x in arr.reshape(-1)]
+        return self.stack.current_for_power(np.reshape(p_in, arr.shape))
 
     def efficiency(self, i_f: float) -> float:
         if i_f < 0:
@@ -412,6 +428,21 @@ class ComposedSystemEfficiency(SystemEfficiencyModel):
             return 0.0
         return self.v_out * i_f / (self.zeta * i_fc)
 
+    def efficiency_array(self, i_f: np.ndarray) -> np.ndarray:
+        """:meth:`efficiency` over a 1-D array, bit-identical per element."""
+        i_f = np.asarray(i_f, dtype=float)
+        i_fc = self.fuel_map_array(i_f)
+        eta = np.zeros(i_f.shape)
+        ok = (i_f != 0) & (i_fc > 0)
+        eta[ok] = self.v_out * i_f[ok] / (self.zeta * i_fc[ok])
+        return eta
+
+    def sweep(self, n_points: int = 200, i_max: float | None = None):
+        """``(IF, eta_s)`` arrays for plotting Fig. 3 style curves."""
+        top = self.if_max if i_max is None else i_max
+        i = np.linspace(max(self.if_min * 0.1, 1e-4), top, n_points)
+        return i, self.efficiency_array(i)
+
     def fit_linear_coefficients(self, n_points: int = 60) -> tuple[float, float]:
         """Least-squares ``(alpha, beta)`` of ``eta ~= alpha - beta*IF``.
 
@@ -421,8 +452,7 @@ class ComposedSystemEfficiency(SystemEfficiencyModel):
         is expected.
         """
         i = np.linspace(self.if_min, self.if_max, n_points)
-        eta = np.array([self.efficiency(float(x)) for x in i])
-        slope, intercept = np.polyfit(i, eta, 1)
+        slope, intercept = np.polyfit(i, self.efficiency_array(i), 1)
         return float(intercept), float(-slope)
 
     def fit_linear(self, n_points: int = 60) -> LinearSystemEfficiency:
@@ -467,5 +497,6 @@ class StackEfficiency:
     def sweep(self, n_points: int = 200, i_max: float | None = None):
         top = self.composed.if_max if i_max is None else i_max
         i = np.linspace(1e-4, top, n_points)
-        eta = np.array([self.efficiency(float(x)) for x in i])
-        return i, eta
+        i_fc = self.composed.fuel_map_array(i)
+        v = self.composed.stack.voltage(np.where(i_fc > 0, i_fc, 0.0))
+        return i, v / self.composed.zeta

@@ -150,30 +150,40 @@ class PolarizationCurve:
                         return x_star, float(self.stack_power(x_star))
         return float(grid[k]), float(power[k])
 
-    def current_for_power(self, power_w: float, tol: float = 1e-9) -> float:
+    def current_for_power(
+        self, power_w: float | np.ndarray, tol: float = 1e-9
+    ) -> float | np.ndarray:
         """Smallest stack current that delivers ``power_w`` (W).
 
         The stack power rises from 0 to its maximum-power point; on that
-        rising branch the map is invertible by bisection.  Demands above
-        the maximum power raise :class:`RangeError`.
+        rising branch the map is invertible by bisection.  ``power_w`` may
+        be a float or an array: every element bisects the same
+        ``[0, i_mpp]`` bracket in lockstep and freezes at the step where
+        its own bracket narrows to ``tol``, so each result is exactly
+        what a lone call for that element returns.  A zero demand maps
+        to 0 A.  Any negative demand, or one above the maximum power,
+        raises :class:`RangeError`.
         """
-        if power_w < 0:
+        power = np.asarray(power_w, dtype=float)
+        if np.any(power < 0):
             raise RangeError("power demand cannot be negative")
-        if power_w == 0:
-            return 0.0
         i_mpp, p_max = self.max_power_point()
-        if power_w > p_max:
+        if np.any(power > p_max):
             raise RangeError(
-                f"demand {power_w:.2f} W exceeds stack capacity {p_max:.2f} W"
+                f"demand {float(np.max(power)):.2f} W exceeds stack "
+                f"capacity {p_max:.2f} W"
             )
-        lo, hi = 0.0, i_mpp
-        while hi - lo > tol:
+        lo = np.zeros(power.shape)
+        hi = np.full(power.shape, i_mpp)
+        live = hi - lo > tol
+        while np.any(live):
             mid = 0.5 * (lo + hi)
-            if self.stack_power(mid) < power_w:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = self.stack_power(mid) < power
+            lo = np.where(live & below, mid, lo)
+            hi = np.where(live & ~below, mid, hi)
+            live = hi - lo > tol
+        current = np.where(power == 0, 0.0, 0.5 * (lo + hi))
+        return float(current) if current.ndim == 0 else current
 
     def sweep(self, n_points: int = 200, i_max: float | None = None):
         """Sample the curve for plotting (regenerates paper Fig. 2).

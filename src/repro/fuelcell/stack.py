@@ -65,7 +65,9 @@ class FCStack:
         """Maximum deliverable power (W); determines load-following extent."""
         return self.max_power_point[1]
 
-    def current_for_power(self, power_w: float) -> float:
+    def current_for_power(
+        self, power_w: float | np.ndarray
+    ) -> float | np.ndarray:
         """Stack current needed to source ``power_w`` on the rising branch."""
         return self.curve.current_for_power(power_w)
 

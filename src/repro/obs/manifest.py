@@ -18,7 +18,6 @@ configuration that computed it.  The schema is validated by
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass, field, fields
@@ -78,9 +77,6 @@ class RunManifest:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["seeds"] = list(self.seeds)
         return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=repr)
 
     def write(self, path: Path | str) -> Path:
         """Atomically write the manifest as JSON; returns the path written."""

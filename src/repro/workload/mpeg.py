@@ -76,6 +76,8 @@ class MpegEncoderModel:
             raise ConfigurationError("bad complexity range")
         if not 0 <= self.ar_coeff < 1:
             raise ConfigurationError("AR coefficient must be in [0, 1)")
+        if not self.noise_sigma >= 0:
+            raise ConfigurationError("noise sigma must be non-negative")
 
     @property
     def gop_duration(self) -> float:
@@ -90,12 +92,16 @@ class MpegEncoderModel:
         """
         if complexity <= 0:
             raise ConfigurationError("complexity must be positive")
+        size_kb = self.base_i_frame_kb * complexity * self.frames_i_units * noise
+        return size_kb / 1024.0
+
+    @property
+    def frames_i_units(self) -> float:
+        """GOP size in I-frame units at unit complexity."""
         rest = self.gop_length - 1
         n_p = rest // 3 + (1 if rest % 3 else 0)
         n_b = rest - n_p
-        frames_i_units = 1.0 + n_p * self.i_to_p + n_b * self.i_to_b
-        size_kb = self.base_i_frame_kb * complexity * frames_i_units * noise
-        return size_kb / 1024.0
+        return 1.0 + n_p * self.i_to_p + n_b * self.i_to_b
 
     def mean_rate_mb_s(self, complexity: float) -> float:
         """Mean encoder output rate (MB/s) at the given complexity."""
@@ -140,30 +146,41 @@ def generate_mpeg_trace(
     elapsed = 0.0
     buffer_mb = 0.0
     gap = 0.0
+    gop_s = m.gop_duration
+    kb_units = m.frames_i_units
+    ar_keep, ar_new = m.ar_coeff, 1 - m.ar_coeff
 
-    # Scene state.
-    scene_gops_left = 0
+    # Scene state.  Each scene draws its GOP count and complexity, then
+    # both per-GOP normal streams in one block: ``rng.normal(loc, scale)``
+    # is ``loc + scale * standard_normal()`` in stream order, and the
+    # generator is local, so normals past the trace's last GOP go unseen.
+    scene_gops = gop = 0
     scene_complexity = 1.0
     drift = 1.0
+    shocks: list[float] = []
+    noises: list[float] = []
 
     # The minimum possible fill time must stay feasible: generate until
     # the requested duration is covered by whole slots.
     while elapsed < duration_s:
-        if scene_gops_left <= 0:
-            scene_gops_left = 1 + rng.geometric(1.0 / m.scene_mean_gops)
+        if gop == scene_gops:
+            scene_gops = 1 + rng.geometric(1.0 / m.scene_mean_gops)
             scene_complexity = rng.uniform(m.complexity_low, m.complexity_high)
+            z = rng.standard_normal(2 * scene_gops)
+            shocks = (1.0 + 0.10 * z[0::2]).tolist()
+            noises = np.exp(m.noise_sigma * z[1::2]).tolist()
             drift = 1.0
-        scene_gops_left -= 1
+            gop = 0
 
-        drift = m.ar_coeff * drift + (1 - m.ar_coeff) * rng.normal(1.0, 0.10)
-        noise = float(np.exp(rng.normal(0.0, m.noise_sigma)))
-        gop_mb = m.gop_size_mb(scene_complexity * max(drift, 0.2), noise)
-
-        buffer_mb += gop_mb
-        gap += m.gop_duration
+        drift = ar_keep * drift + ar_new * shocks[gop]
+        # gop_size_mb's operation order, inlined for the per-GOP loop.
+        complexity = scene_complexity * max(drift, 0.2)
+        buffer_mb += m.base_i_frame_kb * complexity * kb_units * noises[gop] / 1024.0
+        gap += gop_s
+        gop += 1
 
         if buffer_mb >= cam.buffer_mb:
-            t_idle = float(np.clip(gap, cam.idle_min, cam.idle_max))
+            t_idle = float(min(max(gap, cam.idle_min), cam.idle_max))
             slots.append(TaskSlot(t_idle, t_active, i_active))
             elapsed += t_idle + t_active
             buffer_mb = 0.0

@@ -9,6 +9,36 @@ from repro.analysis.figures import (
     fig4_motivational,
     fig7_current_profiles,
 )
+from repro.fuelcell.controller import OnOffFanController, ProportionalFanController
+from repro.fuelcell.efficiency import (
+    ComposedSystemEfficiency,
+    LinearSystemEfficiency,
+    StackEfficiency,
+)
+from repro.fuelcell.polarization import PolarizationCurve
+from repro.power.converter import PWMConverter, PWMPFMConverter
+from tests.fuelcell.test_polarization import reference_current_for_power
+
+
+def reference_fig3(n_points: int = 120) -> dict[str, np.ndarray]:
+    """Fig. 3 built point by point through the scalar bisection oracle."""
+    proportional = ComposedSystemEfficiency(
+        converter=PWMPFMConverter(), controller=ProportionalFanController()
+    )
+    onoff = ComposedSystemEfficiency(
+        converter=PWMConverter(), controller=OnOffFanController()
+    )
+    linear = LinearSystemEfficiency()
+    stack = StackEfficiency(proportional)
+    i = np.linspace(max(proportional.if_min * 0.1, 1e-4), proportional.if_max, n_points)
+    i_stack = np.linspace(1e-4, 1.2, n_points)
+    return {
+        "current": i,
+        "stack": np.array([stack.efficiency(float(x)) for x in i_stack]),
+        "proportional": np.array([proportional.efficiency(float(x)) for x in i]),
+        "onoff": np.array([onoff.efficiency(float(x)) for x in i]),
+        "linear_fit": np.array([linear.efficiency(float(x)) for x in i]),
+    }
 
 
 class TestFig2:
@@ -52,6 +82,32 @@ class TestFig3:
         in_range = (data["current"] >= 0.1) & (data["current"] <= 1.2)
         eta = data["proportional"][in_range]
         assert np.all(np.diff(eta) < 0.002)  # monotone down (tolerating noise)
+
+
+    def test_arrays_equal_scalar_oracle(self, monkeypatch):
+        data = fig3_efficiency_curves()
+        monkeypatch.setattr(
+            PolarizationCurve, "current_for_power", reference_current_for_power
+        )
+        expected = reference_fig3()
+        assert data.keys() == expected.keys()
+        for key, series in expected.items():
+            assert np.array_equal(data[key], series), key
+
+    def test_one_bisection_per_curve(self, monkeypatch):
+        # Three lockstep inversions of ~31 steps each, plus the two
+        # stacks' maximum-power searches.  The per-point scalar
+        # bisection made over 11,000 calls here.
+        calls = []
+        stack_power = PolarizationCurve.stack_power
+
+        def counting(self, current):
+            calls.append(np.size(current))
+            return stack_power(self, current)
+
+        monkeypatch.setattr(PolarizationCurve, "stack_power", counting)
+        fig3_efficiency_curves()
+        assert len(calls) <= 3 * 40
 
 
 class TestFig4:

@@ -379,6 +379,12 @@ class TestHorizon:
 
     @given(horizons())
     @example(([1.0, 0.5, 1.0], [1.0, 0.0, 1.0], 0.0, 0.0, float("inf")))
+    # Both SLSQP runs stop short of the taut string (66.37354686 A-s).
+    @example(([4.0, 24.0, 23.0, 3.0, 46.0], [0.0, 12.0, 0.0, 0.75, 57.5],
+              3.0, 0.0, 6.0))
+    # SLSQP started from the taut string stalls on a linesearch.
+    @example(([1.0, 1.0, 23.0, 1.0, 46.0], [0.0, 0.5, 0.0, 1.0, 57.5],
+              0.0, 0.0, 6.0))
     @settings(max_examples=150, deadline=None)
     def test_matches_slsqp(self, horizon):
         durations, demands, c_ini, c_end, c_max = horizon
@@ -392,13 +398,21 @@ class TestHorizon:
                 _slsqp_horizon(*args)
             return
         _assert_feasible(outputs, *args)
+        assert fuel == pytest.approx(
+            sum(model.fc_current(x) * t for x, t in zip(outputs, durations)),
+            rel=1e-12,
+        )
         try:
             _, reference = _slsqp_horizon(*args)
         except InfeasibleError:
             return  # SLSQP may stall on a feasible horizon (see above).
         assert fuel <= reference * (1 + 1e-12)
-        # From the flat start SLSQP can stop at a worse vertex (the example
-        # above: 1.9007 against 1.8807 A-s), so closeness is checked against
-        # SLSQP started from the taut string: it must find nothing better.
-        _, polished = _slsqp_horizon(*args, x0=outputs)
-        assert fuel == pytest.approx(min(reference, polished), rel=1e-9)
+        # From the flat start SLSQP can stop at a worse vertex (the first
+        # example: 1.9007 against 1.8807 A-s), so SLSQP also starts from
+        # the taut string: it must find nothing cheaper.  SLSQP is only
+        # approximate, so a feasible plan cheaper than both runs passes.
+        try:
+            _, polished = _slsqp_horizon(*args, x0=outputs)
+        except InfeasibleError:
+            polished = reference
+        assert fuel <= min(reference, polished) * (1 + 1e-9)

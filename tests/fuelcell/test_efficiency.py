@@ -185,6 +185,32 @@ class TestComposedModel:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+    @pytest.mark.parametrize(
+        "controller",
+        [
+            ProportionalFanController(),
+            ProportionalFanController(i_base=0.0),
+            OnOffFanController(),
+        ],
+        ids=["proportional", "idle-free-fan", "onoff"],
+    )
+    def test_array_maps_equal_scalar_calls(self, controller):
+        # One array inversion must reproduce every scalar call exactly,
+        # including IF = 0 (a 0 W demand when the fan draws nothing).
+        m = ComposedSystemEfficiency(controller=controller)
+        grid = np.concatenate([[0.0, 1e-9], np.linspace(1e-4, 1.2, 97)])
+        fuel = m.fuel_map_array(grid.reshape(3, 33))
+        assert fuel.shape == (3, 33)
+        assert fuel.ravel().tolist() == [m.fc_current(float(x)) for x in grid]
+        assert m.efficiency_array(grid).tolist() == [
+            m.efficiency(float(x)) for x in grid
+        ]
+
+    def test_array_map_rejects_negative_current(self):
+        with pytest.raises(RangeError):
+            ComposedSystemEfficiency().fuel_map_array(np.array([0.5, -0.1]))
+
+
 class TestStackEfficiencyCurve:
     def test_above_system_efficiency(self):
         composed = ComposedSystemEfficiency()
@@ -197,3 +223,8 @@ class TestStackEfficiencyCurve:
         i, eta = StackEfficiency(composed).sweep(n_points=30)
         assert len(i) == len(eta) == 30
         assert np.all(eta > 0)
+
+    def test_sweep_equals_scalar_calls(self):
+        stack = StackEfficiency(ComposedSystemEfficiency())
+        i, eta = stack.sweep(n_points=30)
+        assert eta.tolist() == [stack.efficiency(float(x)) for x in i]

@@ -11,6 +11,32 @@ from repro.fuelcell.polarization import (
 )
 
 
+def reference_current_for_power(
+    curve: PolarizationCurve, power_w: float, tol: float = 1e-9
+) -> float:
+    """The scalar bisection ``current_for_power`` ran before it took arrays.
+
+    Kept verbatim as the oracle for the lockstep array bisection.
+    """
+    if power_w < 0:
+        raise RangeError("power demand cannot be negative")
+    if power_w == 0:
+        return 0.0
+    i_mpp, p_max = curve.max_power_point()
+    if power_w > p_max:
+        raise RangeError(
+            f"demand {power_w:.2f} W exceeds stack capacity {p_max:.2f} W"
+        )
+    lo, hi = 0.0, i_mpp
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if curve.stack_power(mid) < power_w:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture
 def stack_curve() -> PolarizationCurve:
     return PolarizationCurve(BCS_20W_CELL, n_cells=20)
@@ -117,6 +143,56 @@ class TestInverse:
     def test_negative_power_rejected(self, stack_curve):
         with pytest.raises(RangeError):
             stack_curve.current_for_power(-1.0)
+
+
+class TestArrayInverse:
+    """One lockstep bisection over an array equals the scalar bisection."""
+
+    @pytest.fixture
+    def powers(self, stack_curve):
+        _, p_max = stack_curve.max_power_point()
+        return np.concatenate(
+            [np.linspace(0.0, p_max, 2001), [1e-12, 5e-10, np.nextafter(p_max, 0.0)]]
+        )
+
+    def test_array_equals_scalar_oracle(self, stack_curve, powers):
+        expected = [reference_current_for_power(stack_curve, float(p)) for p in powers]
+        got = stack_curve.current_for_power(powers)
+        assert got.shape == powers.shape
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("steps", [10, 30])
+    def test_each_element_stops_at_its_own_step(self, stack_curve, powers, steps):
+        # With tol at i_mpp / 2**steps, rounding leaves some brackets just
+        # above tol and others at or below it, so the elements stop one
+        # step apart; a bisection that moved them all on together differs.
+        i_mpp, _ = stack_curve.max_power_point()
+        tol = i_mpp * 2.0**-steps
+        expected = [
+            reference_current_for_power(stack_curve, float(p), tol) for p in powers
+        ]
+        assert stack_curve.current_for_power(powers, tol).tolist() == expected
+
+    def test_scalar_call_returns_the_oracle_float(self, stack_curve, powers):
+        for p in powers[::50]:
+            got = stack_curve.current_for_power(float(p))
+            assert type(got) is float
+            assert got == reference_current_for_power(stack_curve, float(p))
+
+    def test_keeps_shape_of_2d_input(self, stack_curve):
+        powers = np.array([[0.0, 2.0], [8.0, 15.0]])
+        got = stack_curve.current_for_power(powers)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == reference_current_for_power(stack_curve, 8.0)
+
+    def test_negative_element_rejected(self, stack_curve):
+        with pytest.raises(RangeError, match="negative"):
+            stack_curve.current_for_power(np.array([1.0, -1e-12, 5.0]))
+
+    def test_element_above_capacity_rejected(self, stack_curve):
+        _, p_max = stack_curve.max_power_point()
+        with pytest.raises(RangeError, match="exceeds stack capacity"):
+            stack_curve.current_for_power(np.array([1.0, np.nextafter(p_max, 99.0)]))
 
 
 class TestSweep:
